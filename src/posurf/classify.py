@@ -5,6 +5,10 @@
 pseudomanifold test instead: for rank >= 2, a pure complex is a discrete
 surface exactly when it is a normal pseudomanifold with empty border, and
 a PCM exactly when it is a normal pseudomanifold with nonempty border.
+Normality is decided from star connectivity over the complex's ridge
+index (the facets over each face of codimension >= 2 must be connected
+through ridges over that face), which for a pseudomanifold is equivalent
+to every such link being a pseudomanifold; no link complex is built.
 ``cross_check`` runs both paths over a corpus and fails loudly on any
 disagreement.
 """

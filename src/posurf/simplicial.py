@@ -25,6 +25,13 @@ __all__ = [
 
 Simplex = frozenset
 
+# Upper bound on the closure of a facet list, checked before any subset is
+# enumerated. The sum of 2^|f| - 1 over the facets bounds the face count, and
+# every per-complex index (faces, ridges, stars) grows linearly in it. The
+# bound admits ``annulus 8000`` (112,000) and refuses one 18-vertex facet
+# (262,143), whose closure alone takes seconds and hundreds of megabytes.
+MAX_FACES = 1 << 17
+
 
 def _as_simplex(vertices: Iterable[int]) -> frozenset[int]:
     s = frozenset(int(v) for v in vertices)
@@ -61,13 +68,25 @@ class SimplicialComplex:
         self._vertices = tuple(sorted(set().union(*faces))) if faces else ()
         self._poset: Poset | None = None
         self._face_ids: dict[frozenset, int] | None = None
+        self._ridges: dict[frozenset, list[int]] | None = None
+        self._pseudomanifold: bool | None = None
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Downward closure of the given facets; each facet must be nonempty."""
+        """Downward closure of the given facets; each facet must be nonempty.
+
+        Raises DomainError, before enumerating any face, when the closure
+        could exceed ``MAX_FACES`` faces.
+        """
+        simplices = [_as_simplex(f) for f in facets]
+        bound = sum((1 << len(f)) - 1 for f in simplices)
+        if bound > MAX_FACES:
+            raise DomainError(
+                f"the closure of {len(simplices)} facet(s) may have up to {bound} faces, "
+                f"above the limit of {MAX_FACES}"
+            )
         faces: set[frozenset] = set()
-        for f0 in facets:
-            f = _as_simplex(f0)
+        for f in simplices:
             vs = sorted(f)
             for r in range(1, len(vs) + 1):
                 faces.update(frozenset(c) for c in combinations(vs, r))
@@ -167,84 +186,98 @@ class SimplicialComplex:
         """Every face lies under a top-dimensional facet."""
         return all(len(f) - 1 == self._dim for f in self._facets)
 
+    def _ridge_index(self) -> dict[frozenset, list[int]]:
+        """Each ridge under a top facet -> indices into ``facets`` of its top cofaces.
+
+        Built in one pass over the facets and cached on the complex.
+        """
+        if self._ridges is None:
+            ridges: dict[frozenset, list[int]] = {}
+            for i, f in enumerate(self._facets):
+                if len(f) - 1 == self._dim and len(f) > 1:
+                    for v in f:
+                        ridges.setdefault(f - {v}, []).append(i)
+            self._ridges = ridges
+        return self._ridges
+
     def ridge_facet_counts(self) -> dict[frozenset, int]:
         """For each (dim-1)-face under a top facet: its number of top cofaces."""
-        counts: dict[frozenset, int] = {}
-        for f in self._facets:
-            if len(f) - 1 == self._dim and len(f) > 1:
-                for v in f:
-                    r = f - {v}
-                    counts[r] = counts.get(r, 0) + 1
-        return counts
+        return {r: len(cofacets) for r, cofacets in self._ridge_index().items()}
 
-    def is_codim1_connected(self, within=None) -> bool:
+    def is_codim1_connected(self) -> bool:
         """Facet dual-graph connectivity (facets adjacent via a shared ridge).
 
         This decides the existence of paths between top faces that use only
-        faces of the top two dimensions. With ``within`` a face h, restricts
-        to facets and ridges containing h, which decides the connectivity of
-        h's coface set. Requires a pure complex.
+        faces of the top two dimensions. Requires a pure complex.
         """
         if not self.is_pure():
             raise DomainError("codim-1 connectivity requires a pure complex")
-        facets = self._facets
-        if within is not None:
-            w = _as_simplex(within)
-            if w not in self._faces:
-                raise DomainError(f"{sorted(w)} is not a face of the complex")
-            facets = tuple(f for f in facets if w <= f)
-        if len(facets) <= 1:
-            return True
-        buckets: dict[frozenset, list[int]] = {}
-        for i, f in enumerate(facets):
-            if len(f) > 1:
-                for v in f:
-                    r = f - {v}
-                    if within is not None and not w <= r:
-                        continue
-                    buckets.setdefault(r, []).append(i)
-        parent = list(range(len(facets)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for group in buckets.values():
-            for other in group[1:]:
-                ra, rb = find(group[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        roots = {find(i) for i in range(len(facets))}
-        return len(roots) == 1
+        parent = list(range(len(self._facets)))
+        for cofacets in self._ridge_index().values():
+            for other in cofacets[1:]:
+                _union(parent, cofacets[0], other)
+        return sum(1 for i, p in enumerate(parent) if i == p) <= 1
 
     def is_pseudomanifold(self) -> bool:
         """Pure, each ridge under one or two top faces, dual graph connected.
 
         A rank-0 complex qualifies only as the degenerate single vertex;
-        the empty complex does not qualify.
+        the empty complex does not qualify. Cached on the complex.
         """
-        n = self._dim
-        if n < 0:
-            return False
-        if n == 0:
-            return len(self._faces) == 1
-        if not self.is_pure():
-            return False
-        if any(c not in (1, 2) for c in self.ridge_facet_counts().values()):
-            return False
-        return self.is_codim1_connected()
+        if self._pseudomanifold is None:
+            n = self._dim
+            if n <= 0:
+                self._pseudomanifold = n == 0 and len(self._faces) == 1
+            else:
+                self._pseudomanifold = (
+                    self.is_pure()
+                    and all(len(c) <= 2 for c in self._ridge_index().values())
+                    and self.is_codim1_connected()
+                )
+        return self._pseudomanifold
 
     def is_normal_pseudomanifold(self) -> bool:
-        """Pseudomanifold whose links of codimension >= 2 faces are pseudomanifolds."""
+        """Pseudomanifold whose links of codimension >= 2 faces are pseudomanifolds.
+
+        Decided from star connectivity, without building any link: a
+        pseudomanifold is normal iff, for each face f of codimension >= 2,
+        the facets containing f are connected through ridges containing f.
+        The two agree because in a pseudomanifold every such link is pure
+        (its facets are F - f for the facets F over f) and each of its
+        ridges R - f lies under as many of its facets as the ridge R of the
+        complex does, so one or two; the link is then a pseudomanifold iff
+        its dual graph is connected, and that graph is the star's graph of
+        facets over f joined by ridges over f. One union-find per face,
+        built from the ridge index, and dropped on return.
+        """
         if not self.is_pseudomanifold():
             return False
         n = self._dim
-        for f in self._canonical:
-            if len(f) - 1 <= n - 2 and not self.link(f).is_pseudomanifold():
-                return False
-        return True
+        stars: dict[frozenset, dict[int, int]] = {}
+        for ridge, cofacets in self._ridge_index().items():
+            vs = tuple(ridge)
+            # the faces of codimension >= 2 under this ridge: 1 to n-1 vertices
+            for size in range(1, n):
+                for sub in combinations(vs, size):
+                    parent = stars.setdefault(frozenset(sub), {})
+                    for i in cofacets:
+                        parent.setdefault(i, i)
+                    for other in cofacets[1:]:
+                        _union(parent, cofacets[0], other)
+        return all(sum(1 for i, p in parent.items() if i == p) == 1 for parent in stars.values())
+
+
+def _find(parent, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, a: int, b: int) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[rb] = ra
 
 
 def simplicial_join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:

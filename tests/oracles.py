@@ -315,6 +315,19 @@ def codim1_connected_definitional(k) -> bool:
     return all(f in seen for f in facets)
 
 
+def normal_pseudomanifold_by_links(k) -> bool:
+    """Normality straight from the definition: a pseudomanifold whose every
+    face of codimension >= 2 has a link that is itself a pseudomanifold.
+
+    Builds one full link complex per face, so it is quadratic in the face
+    count; the package decides the same property from star connectivity.
+    """
+    n = k.dim
+    return k.is_pseudomanifold() and all(
+        k.link(f).is_pseudomanifold() for f in k.faces if len(f) - 1 <= n - 2
+    )
+
+
 def _alternating(path):
     """Compress a comparability path to strict peak/valley alternation."""
     out = [path[0]]

@@ -1,6 +1,10 @@
 """Simplicial complexes: construction, links, joins, pseudomanifold tests."""
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posurf import (
     DomainError,
@@ -14,6 +18,7 @@ from posurf import (
     local_sets,
     pinched_box,
     pinched_sphere,
+    random_pure_complex,
     read_facets,
     restrict,
     simplicial_join,
@@ -21,6 +26,8 @@ from posurf import (
     sphere,
     write_facets,
 )
+from posurf import simplicial
+from posurf.cli import main as cli_main
 
 from .conftest import (
     octahedron,
@@ -217,19 +224,22 @@ def test_codim1_matches_definitional_oracle(complexes, big_complexes):
 
 
 def test_codim1_within_coface_sets(complexes):
-    # coface sets of low-dimensional faces of PCMs/surfaces stay connected
+    # the coface set of every face of codimension >= 2 in a surface or PCM
+    # is connected through ridges; that star connectivity is what the
+    # normality test decides, so it holds on all of them, and fails where
+    # one coface set splits in two (the pinch vertex of the pinched sphere)
     from posurf import classify_recursive
 
+    checked = 0
     for name, k in complexes:
-        if k.dim < 1 or not k.is_pure():
+        if k.dim < 2 or not k.is_pure():
             continue
-        cls = classify_recursive(k)
-        if cls.category not in ("surface", "pcm"):
-            continue
-        n = k.dim
-        for f in k.faces:
-            if 1 <= len(f) - 1 <= n - 2:
-                assert k.is_codim1_connected(within=f), (name, sorted(f))
+        if classify_recursive(k).category in ("surface", "pcm"):
+            assert k.is_normal_pseudomanifold(), name
+            checked += 1
+    assert checked >= 8
+    assert pinched_sphere().is_pseudomanifold()
+    assert not pinched_sphere().is_normal_pseudomanifold()
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +262,43 @@ def test_normal_pseudomanifold_cases():
     assert pinched_box(6).is_normal_pseudomanifold()
     assert disk(6).is_normal_pseudomanifold()
     assert path_complex(3).is_normal_pseudomanifold()
+
+
+def test_normal_pseudomanifold_matches_links_on_corpora(complexes, big_complexes):
+    for name, k in complexes + big_complexes:
+        assert k.is_normal_pseudomanifold() == oracles.normal_pseudomanifold_by_links(k), name
+
+
+def test_normal_pseudomanifold_suspended_pinched_sphere():
+    # a 3-pseudomanifold whose pinch vertex and its edges to the two
+    # suspension points have disconnected stars
+    k = simplicial_join(pinched_sphere(), sphere(0))
+    assert len(k) == 185 and k.dim == 3
+    assert k.is_pseudomanifold()
+    assert not k.is_normal_pseudomanifold()
+    assert not oracles.normal_pseudomanifold_by_links(k)
+
+
+@st.composite
+def random_complexes(draw):
+    """Seeded random pure complexes of dimension 2-4; optionally made non-pure
+    by adding the facets of one of another dimension, or suspended."""
+    dim = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = random_pure_complex(dim, draw(st.integers(dim + 2, dim + 6)), draw(st.integers(1, 16)), seed)
+    shape = draw(st.sampled_from(["pure", "non-pure", "suspended"]))
+    if shape == "non-pure":
+        other = draw(st.sampled_from([d for d in (1, 2, 3) if d != dim]))
+        k = SimplicialComplex.from_facets(k.facets + random_pure_complex(other, other + 3, 4, seed).facets)
+    elif shape == "suspended" and dim <= 3:
+        k = simplicial_join(k, sphere(0))
+    return k
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_complexes())
+def test_normal_pseudomanifold_matches_links_on_random_complexes(k):
+    assert k.is_normal_pseudomanifold() == oracles.normal_pseudomanifold_by_links(k)
 
 
 def test_icosahedron_structure():
@@ -287,6 +334,32 @@ def test_facet_parse_errors():
     assert "line 2" in str(e.value)
     with pytest.raises(ParseError):
         read_facets("1 1 2\n")
+
+
+def test_closure_budget_boundary(monkeypatch):
+    monkeypatch.setattr(simplicial, "MAX_FACES", 8)
+    assert len(SimplicialComplex.from_facets([(1, 2, 3), (4,)])) == 8
+    with pytest.raises(DomainError, match="limit of 8"):
+        SimplicialComplex.from_facets([(1, 2, 3), (4,), (5,)])
+
+
+def test_closure_budget_admits_annulus_8000(monkeypatch):
+    facets = []
+    monkeypatch.setattr(SimplicialComplex, "from_facets", facets.extend)
+    annulus(8000)
+    assert sum(2 ** len(f) - 1 for f in facets) == 112_000 <= simplicial.MAX_FACES
+
+
+def test_oversized_facet_fails_fast(tmp_path, capsys):
+    line = " ".join(str(v) for v in range(18)) + "\n"  # 262,143 faces
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="262143"):
+        read_facets(line)
+    path = tmp_path / "big.facets"
+    path.write_text(line)
+    assert cli_main(["classify", str(path)]) == 1
+    assert time.perf_counter() - t0 < 2.0
+    assert "limit" in capsys.readouterr().err
 
 
 def test_facet_comments_and_empty():
