@@ -47,7 +47,6 @@ from .poset import (
     as_view,
     connected_components,
     from_hasse,
-    is_isomorphic,
     is_separated_union,
     join,
     local_sets,
@@ -91,7 +90,6 @@ __all__ = [
     "generator_names",
     "icosahedron",
     "is_coherent",
-    "is_isomorphic",
     "is_k_surface",
     "is_pcm",
     "is_separated_union",

@@ -1,9 +1,10 @@
-"""Border/interior operators and the PCM recognizers.
+"""Border/interior operators, the PCM recognizers and condition (C).
 
 The border of a rank-n suborder collects the faces whose strict
 neighborhood fails the (n-1)-surface test; the interior is the rest.
-The PCM recognizers follow the recursive definitions literally, over the
-same memoized view machinery as the surface recognizer.
+These are thin wrappers over the one recursion of
+:class:`posurf.surfaces.Views`, which decides PCM and smooth PCM alike and
+shares its memos with the surface recognizer.
 """
 
 from __future__ import annotations
@@ -12,17 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .poset import (
-    Poset,
-    SuborderView,
-    as_view,
-    component_masks,
-    is_connected_mask,
-    iter_bits,
-    mask_of,
-    view_rank,
-)
-from .surfaces import NOT_SURFACE, SurfaceVerdict, surface_rank_of_mask
+from .poset import Poset, SuborderView, as_view, component_masks, iter_bits, mask_of
+from .surfaces import NOT_PCM, SurfaceVerdict, Views
 
 __all__ = [
     "BorderDecomposition",
@@ -32,11 +24,7 @@ __all__ = [
     "is_smooth_pcm",
     "check_condition_C",
     "border_mask_of",
-    "pcm_rank_of_mask",
-    "smooth_pcm_rank_of_mask",
 ]
-
-NOT_PCM = -2
 
 
 @dataclass(frozen=True)
@@ -64,20 +52,13 @@ class BorderDecomposition:
         return not self.border_faces
 
 
-def border_mask_of(poset: Poset, mask: int, memo: dict | None) -> int:
-    """Bitmask of the border faces of a view of rank >= 0."""
-    n = view_rank(poset, mask, memo is not None)
-    if n < 0:
-        raise DomainError("the border is undefined on the empty order")
-    theta = poset.theta_masks
-    out = 0
-    for h in iter_bits(mask):
-        if surface_rank_of_mask(poset, theta[h] & mask, memo) != n - 1:
-            out |= 1 << h
-    return out
+def border_mask_of(obj: "Poset | SuborderView") -> int:
+    """Bitmask of the border faces of a poset or view of rank >= 0."""
+    view = as_view(obj)
+    return Views(view.ambient).border(view.mask)
 
 
-def border(obj: "Poset | SuborderView", use_memo: bool = True) -> BorderDecomposition:
+def border(obj: "Poset | SuborderView") -> BorderDecomposition:
     """Border decomposition of a poset or suborder view (rank >= 0).
 
     Scans the faces in id order and tests each strict neighborhood against
@@ -85,138 +66,33 @@ def border(obj: "Poset | SuborderView", use_memo: bool = True) -> BorderDecompos
     into theta-connected components, each with its surface verdict.
     """
     view = as_view(obj)
-    poset = view.ambient
-    memo = poset.memo("surface") if use_memo else None
-    bmask = border_mask_of(poset, view.mask, memo)
-    comps = []
-    for cm in component_masks(poset, bmask):
-        r = surface_rank_of_mask(poset, cm, memo)
-        verdict = SurfaceVerdict(r != NOT_SURFACE, None if r == NOT_SURFACE else r, cm)
-        comps.append((frozenset(iter_bits(cm)), verdict))
+    views = Views(view.ambient)
+    bmask = views.border(view.mask)
     return BorderDecomposition(
         border_faces=frozenset(iter_bits(bmask)),
         interior_faces=frozenset(iter_bits(view.mask & ~bmask)),
-        components=tuple(comps),
+        components=tuple(
+            (frozenset(iter_bits(cm)), SurfaceVerdict.of(views, cm))
+            for cm in component_masks(view.ambient, bmask)
+        ),
     )
 
 
-def pcm_rank_of_mask(poset: Poset, mask: int, smemo: dict | None, pmemo: dict | None) -> int:
-    """PCM rank of a view, or NOT_PCM.
-
-    Base cases: the empty order is the (-1)-PCM and a singleton the 0-PCM.
-    For rank n >= 1 the view must be connected with a nonempty border, and
-    every strict neighborhood must be an (n-1)-surface (interior face) or
-    an (n-1)-PCM (border face).
-    """
-    if pmemo is not None:
-        got = pmemo.get(mask)
-        if got is not None:
-            return got
-    count = mask.bit_count()
-    if count == 0:
-        result = -1
-    elif count == 1:
-        result = 0
-    else:
-        n = view_rank(poset, mask, pmemo is not None)
-        if n == 0 or not is_connected_mask(poset, mask):
-            result = NOT_PCM
-        else:
-            theta = poset.theta_masks
-            has_border = False
-            result = n
-            for h in iter_bits(mask):
-                t = theta[h] & mask
-                if surface_rank_of_mask(poset, t, smemo) == n - 1:
-                    continue
-                if pcm_rank_of_mask(poset, t, smemo, pmemo) == n - 1:
-                    has_border = True
-                    continue
-                result = NOT_PCM
-                break
-            if result == n and not has_border:
-                result = NOT_PCM
-    if pmemo is not None:
-        pmemo[mask] = result
-    return result
-
-
-def _border_is_surface_union(poset: Poset, bmask: int, target: int, smemo: dict | None) -> bool:
-    """Is the border view a separated union of target-rank surfaces?
-
-    Components of a suborder are never theta-adjacent inside it, so the
-    separation between parts is automatic. For target >= 1 surfaces are
-    connected, hence each component must itself be a target-surface. A
-    0-surface is two mutually non-adjacent faces, so for target 0 the
-    border must consist of singleton components in even number (any pairing
-    then realizes the union of 0-surfaces).
-    """
-    comps = component_masks(poset, bmask)
-    if target == 0:
-        if any(cm.bit_count() != 1 for cm in comps):
-            return False
-        return bmask.bit_count() % 2 == 0
-    return all(surface_rank_of_mask(poset, cm, smemo) == target for cm in comps)
-
-
-def smooth_pcm_rank_of_mask(poset: Poset, mask: int, smemo: dict | None, mmemo: dict | None) -> int:
-    """Smooth PCM rank of a view, or NOT_PCM.
-
-    Like the PCM recursion, but border faces must have smooth (n-1)-PCM
-    neighborhoods and the border itself must be a separated union of
-    (n-1)-surfaces.
-    """
-    if mmemo is not None:
-        got = mmemo.get(mask)
-        if got is not None:
-            return got
-    count = mask.bit_count()
-    if count == 0:
-        result = -1
-    elif count == 1:
-        result = 0
-    else:
-        n = view_rank(poset, mask, mmemo is not None)
-        if n == 0 or not is_connected_mask(poset, mask):
-            result = NOT_PCM
-        else:
-            theta = poset.theta_masks
-            bmask = 0
-            result = n
-            for h in iter_bits(mask):
-                t = theta[h] & mask
-                if surface_rank_of_mask(poset, t, smemo) == n - 1:
-                    continue
-                if smooth_pcm_rank_of_mask(poset, t, smemo, mmemo) == n - 1:
-                    bmask |= 1 << h
-                    continue
-                result = NOT_PCM
-                break
-            if result == n:
-                if not bmask or not _border_is_surface_union(poset, bmask, n - 1, smemo):
-                    result = NOT_PCM
-    if mmemo is not None:
-        mmemo[mask] = result
-    return result
-
-
-def is_pcm(obj: "Poset | SuborderView", use_memo: bool = True) -> PcmVerdict:
+def _pcm_verdict(obj: "Poset | SuborderView", smooth: bool) -> PcmVerdict:
     view = as_view(obj)
-    smemo = view.ambient.memo("surface") if use_memo else None
-    pmemo = view.ambient.memo("pcm") if use_memo else None
-    r = pcm_rank_of_mask(view.ambient, view.mask, smemo, pmemo)
+    r = Views(view.ambient).pcm(view.mask, smooth)
     return PcmVerdict(r != NOT_PCM, None if r == NOT_PCM else r)
 
 
-def is_smooth_pcm(obj: "Poset | SuborderView", use_memo: bool = True) -> PcmVerdict:
-    view = as_view(obj)
-    smemo = view.ambient.memo("surface") if use_memo else None
-    mmemo = view.ambient.memo("smooth") if use_memo else None
-    r = smooth_pcm_rank_of_mask(view.ambient, view.mask, smemo, mmemo)
-    return PcmVerdict(r != NOT_PCM, None if r == NOT_PCM else r)
+def is_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
+    return _pcm_verdict(obj, smooth=False)
 
 
-def check_condition_C(complex, border_faces: Iterable[int] | None = None, use_memo: bool = True) -> bool:
+def is_smooth_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
+    return _pcm_verdict(obj, smooth=True)
+
+
+def check_condition_C(complex, border_faces: Iterable[int] | None = None) -> bool:
     """Border-smoothness condition for a simplicial PCM of rank >= 2.
 
     Holds when every border face has, inside the border suborder, a strict
@@ -236,16 +112,12 @@ def check_condition_C(complex, border_faces: Iterable[int] | None = None, use_me
     if n < 2:
         raise DomainError("condition (C) applies to complexes of rank >= 2")
     poset = complex.face_poset()
-    smemo = poset.memo("surface") if use_memo else None
+    views = Views(poset)
     if border_faces is None:
-        pmemo = poset.memo("pcm") if use_memo else None
-        if pcm_rank_of_mask(poset, poset.full_mask, smemo, pmemo) != n:
+        if views.pcm(poset.full_mask) != n:
             raise DomainError("condition (C) requires an n-PCM input")
-        bmask = border_mask_of(poset, poset.full_mask, smemo)
+        bmask = views.border(poset.full_mask)
     else:
         bmask = mask_of(as_view(poset), border_faces)
     theta = poset.theta_masks
-    for h in iter_bits(bmask):
-        if surface_rank_of_mask(poset, theta[h] & bmask, smemo) != n - 2:
-            return False
-    return True
+    return all(views.surface(theta[h] & bmask) == n - 2 for h in iter_bits(bmask))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -28,9 +28,9 @@ from .border import (
     is_smooth_pcm,
 )
 from .errors import CrossCheckError, DomainError
-from .poset import as_view, iter_bits, view_rank
+from .poset import as_view, iter_bits
 from .simplicial import SimplicialComplex, write_facets
-from .surfaces import is_k_surface
+from .surfaces import Views, is_k_surface
 
 __all__ = [
     "Classification",
@@ -76,17 +76,16 @@ class Classification:
 
     def to_dict(self) -> dict:
         return {
-            "rank": self.rank,
-            "is_surface": self.is_surface,
-            "is_pcm": self.is_pcm,
-            "is_smooth_pcm": self.is_smooth_pcm,
-            "is_pseudomanifold": self.is_pseudomanifold,
-            "is_normal_pseudomanifold": self.is_normal_pseudomanifold,
-            "border_empty": self.border_empty,
+            **{name: getattr(self, name) for name in VERDICT_FIELDS},
             "category": self.category,
             "path": self.path,
             "timings_ms": {k: round(v * 1000.0, 3) for k, v in self.timings.items()},
         }
+
+
+VERDICT_FIELDS = tuple(
+    f.name for f in fields(Classification) if f.name not in ("path", "timings")
+)
 
 
 def _timed(timings: dict, name: str, fn):
@@ -96,7 +95,7 @@ def _timed(timings: dict, name: str, fn):
     return out
 
 
-def classify_recursive(obj, use_memo: bool = True) -> Classification:
+def classify_recursive(obj) -> Classification:
     """Classify by the recursive definitions.
 
     Accepts a SimplicialComplex (pseudomanifold checks included) or a
@@ -105,17 +104,11 @@ def classify_recursive(obj, use_memo: bool = True) -> Classification:
     complex_ = obj if isinstance(obj, SimplicialComplex) else None
     view = as_view(complex_.face_poset() if complex_ is not None else obj)
     timings: dict[str, float] = {}
-    sv = _timed(timings, "surface", lambda: is_k_surface(view, use_memo))
-    pv = _timed(timings, "pcm", lambda: is_pcm(view, use_memo))
-    mv = _timed(timings, "smooth_pcm", lambda: is_smooth_pcm(view, use_memo))
-    r = view_rank(view.ambient, view.mask, use_memo)
-    if r < 0:
-        border_empty = True
-    else:
-        memo = view.ambient.memo("surface") if use_memo else None
-        border_empty = _timed(
-            timings, "border", lambda: border_mask_of(view.ambient, view.mask, memo) == 0
-        )
+    sv = _timed(timings, "surface", lambda: is_k_surface(view))
+    pv = _timed(timings, "pcm", lambda: is_pcm(view))
+    mv = _timed(timings, "smooth_pcm", lambda: is_smooth_pcm(view))
+    r = Views(view.ambient).rank(view.mask)
+    border_empty = r < 0 or _timed(timings, "border", lambda: border_mask_of(view) == 0)
     cls = Classification(
         rank=r,
         is_surface=sv.is_surface,
@@ -133,7 +126,7 @@ def classify_recursive(obj, use_memo: bool = True) -> Classification:
     return cls
 
 
-def classify_fast(k, use_memo: bool = True) -> Classification:
+def classify_fast(k) -> Classification:
     """Classify a simplicial complex through the normal pseudomanifold test.
 
     For rank >= 2: not a normal pseudomanifold means neither surface nor
@@ -148,7 +141,7 @@ def classify_fast(k, use_memo: bool = True) -> Classification:
         raise DomainError("fast classification requires a simplicial complex")
     n = k.dim
     if n <= 1:
-        cls = classify_recursive(k, use_memo)
+        cls = classify_recursive(k)
         cls.path = "fast"
         return cls
     timings: dict[str, float] = {}
@@ -184,13 +177,13 @@ def classify_fast(k, use_memo: bool = True) -> Classification:
             fid = k.face_id(ridge)
             bmask |= poset.alpha_masks[fid] | (1 << fid)
         border_faces = tuple(iter_bits(bmask))
-        cond = check_condition_C(k, border_faces=border_faces, use_memo=use_memo)
+        cond = check_condition_C(k, border_faces=border_faces)
         timings["condition_C"] = time.perf_counter() - t0
         if cond:
             smooth = True
         else:
             smooth = _timed(
-                timings, "smooth_pcm_fallback", lambda: is_smooth_pcm(poset, use_memo).holds
+                timings, "smooth_pcm_fallback", lambda: is_smooth_pcm(poset).holds
             )
     return Classification(
         rank=n,
@@ -209,16 +202,7 @@ def _disagreements(fast: Classification, recursive: Classification) -> list[str]
     out = []
     if fast.category != recursive.category:
         out.append(f"category: fast={fast.category} recursive={recursive.category}")
-    if fast.rank != recursive.rank:
-        out.append(f"rank: fast={fast.rank} recursive={recursive.rank}")
-    for name in (
-        "is_surface",
-        "is_pcm",
-        "is_smooth_pcm",
-        "is_pseudomanifold",
-        "is_normal_pseudomanifold",
-        "border_empty",
-    ):
+    for name in VERDICT_FIELDS:
         a = getattr(fast, name)
         b = getattr(recursive, name)
         if a is not None and b is not None and a != b:
@@ -226,26 +210,19 @@ def _disagreements(fast: Classification, recursive: Classification) -> list[str]
     return out
 
 
-def classify_both(k, use_memo: bool = True) -> Classification:
+def classify_both(k) -> Classification:
     """Run both paths on one complex; any disagreement raises, never reconciles."""
-    fast = classify_fast(k, use_memo)
-    recursive = classify_recursive(k, use_memo)
+    fast = classify_fast(k)
+    recursive = classify_recursive(k)
     issues = _disagreements(fast, recursive)
     if issues:
         raise CrossCheckError("fast/recursive disagreement: " + "; ".join(issues))
-    merged = Classification(
-        rank=recursive.rank,
-        is_surface=recursive.is_surface,
-        is_pcm=recursive.is_pcm,
-        is_smooth_pcm=recursive.is_smooth_pcm,
-        is_pseudomanifold=recursive.is_pseudomanifold,
-        is_normal_pseudomanifold=recursive.is_normal_pseudomanifold,
-        border_empty=recursive.border_empty,
-        path="both",
-    )
-    merged.timings = {f"fast.{n}": v for n, v in fast.timings.items()}
-    merged.timings.update({f"recursive.{n}": v for n, v in recursive.timings.items()})
-    return merged
+    timings = {
+        f"{prefix}.{n}": v
+        for prefix, cls in (("fast", fast), ("recursive", recursive))
+        for n, v in cls.timings.items()
+    }
+    return replace(recursive, path="both", timings=timings)
 
 
 @dataclass

@@ -1,15 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 completed, 1 domain/parse/usage error, 2 cross-check
-disagreement. Set POSURF_DISABLE_MEMO=1 to run the recognizers without
-their per-view memo tables (differential debugging).
+disagreement. Facet input is parsed to a simplicial complex; its face
+poset is built only by the commands that run a poset-level recognizer.
+POSURF_DISABLE_MEMO is read by the library, so every command obeys it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from .border import border, is_pcm, is_smooth_pcm
 from .classify import classify_both, classify_fast, classify_recursive, cross_check
 from .errors import CrossCheckError, DomainError, ParseError, PosurfError
 from .generators import generate, generator_names, random_pure_complex, sphere
-from .poset import Poset, from_hasse, restrict, to_hasse
+from .poset import from_hasse, restrict, to_hasse
 from .simplicial import SimplicialComplex, read_facets, write_facets
 from .surfaces import is_k_surface
 
@@ -38,10 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _use_memo() -> bool:
-    return os.environ.get("POSURF_DISABLE_MEMO", "") not in ("1", "true", "yes")
-
-
 def _read_text(path: str | None) -> str:
     if path in (None, "-"):
         return sys.stdin.read()
@@ -49,17 +45,23 @@ def _read_text(path: str | None) -> str:
 
 
 def _load(args):
-    """Returns (complex_or_None, poset)."""
+    """Returns (the complex or None, the parsed complex or poset)."""
     text = _read_text(args.file)
     if args.format == "facets":
         k = read_facets(text)
-        return k, k.face_poset()
+        return k, k
     return None, from_hasse(text)
 
 
-def _faces_by_rank(poset: Poset) -> dict[str, int]:
+def _poset(obj):
+    return obj.face_poset() if isinstance(obj, SimplicialComplex) else obj
+
+
+def _faces_by_rank(obj) -> dict[str, int]:
+    if isinstance(obj, SimplicialComplex):
+        return {str(r): c for r, c in enumerate(obj.f_vector())}
     counts: dict[int, int] = {}
-    for r in poset.face_ranks if len(poset) else ():
+    for r in obj.face_ranks:
         counts[r] = counts.get(r, 0) + 1
     return {str(r): counts[r] for r in sorted(counts)}
 
@@ -88,29 +90,28 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    k, poset = _load(args)
-    use_memo = _use_memo()
+    k, obj = _load(args)
     mode = args.mode
     if mode is None:
         mode = "fast" if k is not None else "recursive"
     if mode == "recursive":
-        cls = classify_recursive(k if k is not None else poset, use_memo)
+        cls = classify_recursive(obj)
     elif mode == "fast":
         if k is None:
             raise DomainError("fast classification requires facet input (a simplicial complex)")
-        cls = classify_fast(k, use_memo)
+        cls = classify_fast(k)
     else:
         if k is None:
             raise DomainError("mode 'both' requires facet input (a simplicial complex)")
-        cls = classify_both(k, use_memo)
+        cls = classify_both(k)
     report = {
         "command": "classify",
         "input": args.file or "-",
         "format": args.format,
         "mode": mode,
         "instance": {
-            "total_faces": len(poset),
-            "faces_by_rank": _faces_by_rank(poset),
+            "total_faces": len(obj),
+            "faces_by_rank": _faces_by_rank(obj),
         },
         "classification": cls.to_dict(),
     }
@@ -132,8 +133,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_border(args) -> int:
-    _, poset = _load(args)
-    decomposition = border(poset, _use_memo())
+    poset = _poset(_load(args)[1])
+    decomposition = border(poset)
     sub = restrict(poset, sorted(decomposition.border_faces))
     out = [to_hasse(sub.to_poset()).rstrip("\n")]
     out.append(
@@ -148,17 +149,16 @@ def _cmd_border(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    k, poset = _load(args)
-    use_memo = _use_memo()
+    k, obj = _load(args)
     if args.surface:
-        v = is_k_surface(poset, use_memo)
+        v = is_k_surface(_poset(obj))
         print(f"surface: {'yes' if v.is_surface else 'no'}"
               + (f" (rank {v.rank})" if v.is_surface else ""))
     elif args.pcm:
-        v = is_pcm(poset, use_memo)
+        v = is_pcm(_poset(obj))
         print(f"pcm: {'yes' if v.holds else 'no'}" + (f" (rank {v.rank})" if v.holds else ""))
     elif args.smooth:
-        v = is_smooth_pcm(poset, use_memo)
+        v = is_smooth_pcm(_poset(obj))
         print(f"smooth pcm: {'yes' if v.holds else 'no'}"
               + (f" (rank {v.rank})" if v.holds else ""))
     elif args.pseudomanifold:

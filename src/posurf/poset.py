@@ -37,7 +37,6 @@ __all__ = [
     "connected_components",
     "join",
     "is_separated_union",
-    "is_isomorphic",
     "to_hasse",
     "from_hasse",
 ]
@@ -261,45 +260,18 @@ def view_face_ranks(poset: Poset, mask: int) -> dict[int, int]:
     return ranks
 
 
-def view_rank(poset: Poset, mask: int, use_memo: bool = True) -> int:
+def view_rank(poset: Poset, mask: int) -> int:
     """Rank of the suborder induced by ``mask``; -1 when empty."""
-    if mask == 0:
-        return -1
-    memo = poset.memo("view_rank") if use_memo else None
-    if memo is not None:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-    r = max(view_face_ranks(poset, mask).values())
-    if memo is not None:
-        memo[mask] = r
-    return r
+    return max(view_face_ranks(poset, mask).values(), default=-1)
 
 
-def is_connected_mask(poset: Poset, mask: int) -> bool:
-    """Path-connectedness of a view under strict theta adjacency."""
-    if mask == 0:
-        return True
+def component_masks(poset: Poset, mask: int) -> Iterator[int]:
+    """Connected components of a view under strict theta adjacency.
+
+    Yielded lazily, ordered by their lowest member: a view is connected
+    exactly when its first component is the whole view.
+    """
     theta = poset.theta_masks
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= theta[low.bit_length() - 1]
-            f ^= low
-        nxt &= mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == mask
-
-
-def component_masks(poset: Poset, mask: int) -> list[int]:
-    """Connected components of a view, ordered by their lowest member."""
-    theta = poset.theta_masks
-    comps = []
     rest = mask
     while rest:
         comp = rest & -rest
@@ -314,9 +286,8 @@ def component_masks(poset: Poset, mask: int) -> list[int]:
             nxt &= mask & ~comp
             comp |= nxt
             frontier = nxt
-        comps.append(comp)
+        yield comp
         rest &= ~comp
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -406,113 +377,6 @@ def is_separated_union(obj: "Poset | SuborderView", a: Iterable[int], b: Iterabl
     for h in iter_bits(am):
         reach |= theta[h]
     return not reach & bm
-
-
-# ---------------------------------------------------------------------------
-# isomorphism (small-instance test oracle)
-
-
-def _materialize(obj: "Poset | SuborderView") -> Poset:
-    if isinstance(obj, Poset):
-        return obj
-    return as_view(obj).to_poset()
-
-
-def _iso_signatures(p: Poset, rounds: int = 2) -> list:
-    """Per-face invariants refined over the cover graph (WL-style)."""
-    n = len(p)
-    up: list[list[int]] = [[] for _ in range(n)]
-    for h in range(n):
-        for c in p.covers(h):
-            up[c].append(h)
-    sig: list = [(p.face_ranks[h], len(p.covers(h)), len(up[h])) for h in range(n)]
-    for _ in range(rounds):
-        sig = [
-            (
-                sig[h],
-                tuple(sorted(sig[c] for c in p.covers(h))),
-                tuple(sorted(sig[g] for g in up[h])),
-            )
-            for h in range(n)
-        ]
-    return sig
-
-
-def is_isomorphic(p: "Poset | SuborderView", q: "Poset | SuborderView", max_faces: int = 40) -> bool:
-    """Order-isomorphism by backtracking search; small inputs only.
-
-    Inputs larger than ``max_faces`` are refused with a DomainError (the
-    search is exponential in general; this is a test oracle, not a
-    production primitive).
-    """
-    pa = _materialize(p)
-    qa = _materialize(q)
-    if len(pa) > max_faces or len(qa) > max_faces:
-        raise DomainError(f"isomorphism test refused: inputs above {max_faces} faces")
-    if len(pa) != len(qa):
-        return False
-    if pa.rank() != qa.rank():
-        return False
-
-    sig_p = _iso_signatures(pa)
-    sig_q = _iso_signatures(qa)
-    if sorted(map(repr, sig_p)) != sorted(map(repr, sig_q)):
-        return False
-
-    n = len(pa)
-    candidates: list[list[int]] = []
-    by_sig: dict[str, list[int]] = {}
-    for j in range(n):
-        by_sig.setdefault(repr(sig_q[j]), []).append(j)
-    for h in range(n):
-        candidates.append(by_sig.get(repr(sig_p[h]), []))
-        if not candidates[-1]:
-            return False
-
-    order = sorted(range(n), key=lambda h: len(candidates[h]))
-    mapping = [-1] * n
-    used = [False] * n
-
-    up_p: list[list[int]] = [[] for _ in range(n)]
-    up_q: list[list[int]] = [[] for _ in range(n)]
-    for h in range(n):
-        for c in pa.covers(h):
-            up_p[c].append(h)
-        for c in qa.covers(h):
-            up_q[c].append(h)
-    covers_q = [set(qa.covers(h)) for h in range(n)]
-    coverers_q = [set(up_q[h]) for h in range(n)]
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        a = order[i]
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            ok = True
-            for c in pa.covers(a):
-                m = mapping[c]
-                if m >= 0 and m not in covers_q[b]:
-                    ok = False
-                    break
-            if ok:
-                for g in up_p[a]:
-                    m = mapping[g]
-                    if m >= 0 and m not in coverers_q[b]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[a] = b
-            used[b] = True
-            if extend(i + 1):
-                return True
-            mapping[a] = -1
-            used[b] = False
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -154,22 +154,25 @@ class SimplicialComplex:
         vertex tuple, comma separated. Cached on the complex.
         """
         if self._poset is None:
-            idx = {f: i for i, f in enumerate(self._canonical)}
+            idx = self._face_index()
             covers = []
             labels = []
             for f in self._canonical:
                 labels.append(",".join(str(v) for v in sorted(f)))
                 covers.append(sorted(idx[f - {v}] for v in f) if len(f) > 1 else [])
             self._poset = Poset(covers, labels)
-            self._face_ids = idx
         return self._poset
+
+    def _face_index(self) -> dict[frozenset, int]:
+        """Face -> its id in the face poset (the canonical position); cached."""
+        if self._face_ids is None:
+            self._face_ids = {f: i for i, f in enumerate(self._canonical)}
+        return self._face_ids
 
     def face_id(self, simplex) -> int:
         s = _as_simplex(simplex)
-        self.face_poset()
-        assert self._face_ids is not None
         try:
-            return self._face_ids[s]
+            return self._face_index()[s]
         except KeyError:
             raise DomainError(f"{sorted(s)} is not a face of the complex") from None
 

@@ -1,27 +1,162 @@
-"""The recursive discrete-surface recognizer and the coherence check.
+"""The recognizers' one recursion over suborder views.
 
-Both operate on suborder views and memoize per view; the memo key is the
-member bitmask, scoped to the ambient poset. The recursion is naturally
-depth-bounded: a strict neighborhood always has rank strictly below the
-view it was taken in.
+``Views(poset)`` decides, for any member bitmask of the poset, its rank,
+whether it is a discrete surface, whether it is coherent, its border, and
+whether it is a PCM or a smooth PCM. Each answer is memoized under the
+bitmask in one of the poset's named memos (``view_rank``, ``surface``,
+``coherent``, ``pcm``, ``smooth``), so every recognizer run on one poset
+shares the work of the others. Setting ``POSURF_DISABLE_MEMO`` to 1, true
+or yes turns every memo into one that never stores, and each call then
+recomputes from the definitions (differential debugging); the switch is
+read when a ``Views`` is made, which each public recognizer does per call.
+The recursion is naturally depth-bounded: a strict neighborhood always has
+rank strictly below the view it was taken in.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
-from .poset import (
-    Poset,
-    SuborderView,
-    as_view,
-    is_connected_mask,
-    iter_bits,
-    view_rank,
-)
+from .errors import DomainError
+from .poset import Poset, SuborderView, as_view, component_masks, iter_bits, view_rank
 
-__all__ = ["SurfaceVerdict", "is_k_surface", "is_coherent", "NOT_SURFACE", "surface_rank_of_mask"]
+__all__ = ["SurfaceVerdict", "Views", "is_k_surface", "is_coherent", "NOT_SURFACE", "NOT_PCM"]
 
-NOT_SURFACE = -2
+NOT_SURFACE = NOT_PCM = -2
+
+
+class _NoMemo(dict):
+    """A memo that never stores."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class Views:
+    """Rank, surface, coherence, border and PCM tests on views of one poset."""
+
+    def __init__(self, poset: Poset):
+        self.poset = poset
+        self.theta = poset.theta_masks
+        disabled = os.environ.get("POSURF_DISABLE_MEMO", "") in ("1", "true", "yes")
+        memo = (lambda name: _NoMemo()) if disabled else poset.memo
+        self._ranks = memo("view_rank")
+        self._surfaces = memo("surface")
+        self._coherent = memo("coherent")
+        self._pcms = {False: memo("pcm"), True: memo("smooth")}
+
+    def rank(self, mask: int) -> int:
+        """Rank of the view; -1 when empty."""
+        got = self._ranks.get(mask)
+        if got is None:
+            got = self._ranks[mask] = view_rank(self.poset, mask)
+        return got
+
+    def connected(self, mask: int) -> bool:
+        """Path-connectedness of the view under strict theta adjacency."""
+        return next(component_masks(self.poset, mask), 0) == mask
+
+    def surface(self, mask: int) -> int:
+        """Surface rank of the view, or NOT_SURFACE.
+
+        Literal recursion over the definition: the empty order is the
+        (-1)-surface; exactly two mutually non-adjacent faces form the
+        0-surface; otherwise the view must be connected with every strict
+        neighborhood a (k-1)-surface, and k must equal the view's rank.
+        """
+        got = self._surfaces.get(mask)
+        if got is not None:
+            return got
+        count = mask.bit_count()
+        low = (mask & -mask).bit_length() - 1
+        result = NOT_SURFACE
+        if count == 0:
+            result = -1
+        elif count == 2:
+            if not self.theta[low] & mask:
+                result = 0
+        elif count > 2 and self.connected(mask):
+            theta = self.theta
+            k = self.surface(theta[low] & mask)
+            if k >= 0:
+                for h in iter_bits(mask ^ (1 << low)):
+                    if self.surface(theta[h] & mask) != k:
+                        break
+                else:
+                    if self.rank(mask) == k + 1:
+                        result = k + 1
+        self._surfaces[mask] = result
+        return result
+
+    def coherent(self, mask: int) -> bool:
+        """Every strict neighborhood drops rank by exactly one, recursively."""
+        got = self._coherent.get(mask)
+        if got is None:
+            n = self.rank(mask)
+            got = self._coherent[mask] = all(
+                self.rank(t) == n - 1 and self.coherent(t)
+                for t in (self.theta[h] & mask for h in iter_bits(mask))
+            )
+        return got
+
+    def border(self, mask: int) -> int:
+        """Bitmask of the faces whose strict neighborhood is not an (n-1)-surface."""
+        n = self.rank(mask)
+        if n < 0:
+            raise DomainError("the border is undefined on the empty order")
+        out = 0
+        for h in iter_bits(mask):
+            if self.surface(self.theta[h] & mask) != n - 1:
+                out |= 1 << h
+        return out
+
+    def pcm(self, mask: int, smooth: bool = False) -> int:
+        """(Smooth) PCM rank of the view, or NOT_PCM.
+
+        Base cases: the empty order is the (-1)-PCM and a singleton the
+        0-PCM. For rank n >= 1 the view must be connected with a nonempty
+        border, and every strict neighborhood must be an (n-1)-surface
+        (interior face) or an (n-1)-PCM (border face). A smooth PCM needs
+        smooth (n-1)-PCM neighborhoods at its border faces, and a border
+        that is a separated union of (n-1)-surfaces.
+        """
+        memo = self._pcms[smooth]
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        count = mask.bit_count()
+        result = count - 1 if count <= 1 else NOT_PCM
+        # a connected view of two or more faces has rank n >= 1
+        if count > 1 and self.connected(mask):
+            n = self.rank(mask)
+            bmask = 0
+            for h in iter_bits(mask):
+                t = self.theta[h] & mask
+                if self.surface(t) != n - 1:
+                    if self.pcm(t, smooth) != n - 1:
+                        break
+                    bmask |= 1 << h
+            else:
+                if bmask and (not smooth or self._surface_union(bmask, n - 1)):
+                    result = n
+        memo[mask] = result
+        return result
+
+    def _surface_union(self, bmask: int, target: int) -> bool:
+        """Is the border view a separated union of target-rank surfaces?
+
+        Components of a suborder are never theta-adjacent inside it, so the
+        separation between parts is automatic. For target >= 1 surfaces are
+        connected, hence each component must itself be a target-surface. A
+        0-surface is two mutually non-adjacent faces, so for target 0 the
+        border must consist of singleton components in even number (any
+        pairing then realizes the union of 0-surfaces).
+        """
+        comps = list(component_masks(self.poset, bmask))
+        if target == 0:
+            return len(comps) == bmask.bit_count() and len(comps) % 2 == 0
+        return all(self.surface(cm) == target for cm in comps)
 
 
 @dataclass(frozen=True)
@@ -37,85 +172,19 @@ class SurfaceVerdict:
     rank: int | None
     mask: int
 
-
-def surface_rank_of_mask(poset: Poset, mask: int, memo: dict | None) -> int:
-    """Surface rank of a view, or NOT_SURFACE.
-
-    Literal recursion over the definition: the empty order is the
-    (-1)-surface; exactly two mutually non-adjacent faces form the
-    0-surface; otherwise the view must be connected with every strict
-    neighborhood a (k-1)-surface, and k must equal the view's rank.
-    """
-    if memo is not None:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-    theta = poset.theta_masks
-    count = mask.bit_count()
-    if count == 0:
-        result = -1
-    elif count == 1:
-        result = NOT_SURFACE
-    elif count == 2:
-        low = (mask & -mask).bit_length() - 1
-        result = 0 if not theta[low] & mask else NOT_SURFACE
-    elif not is_connected_mask(poset, mask):
-        result = NOT_SURFACE
-    else:
-        consensus = None
-        ok = True
-        for h in iter_bits(mask):
-            child = surface_rank_of_mask(poset, theta[h] & mask, memo)
-            if child < 0:
-                ok = False
-                break
-            if consensus is None:
-                consensus = child
-            elif child != consensus:
-                ok = False
-                break
-        if ok and view_rank(poset, mask, memo is not None) == consensus + 1:
-            result = consensus + 1
-        else:
-            result = NOT_SURFACE
-    if memo is not None:
-        memo[mask] = result
-    return result
+    @classmethod
+    def of(cls, views: Views, mask: int) -> "SurfaceVerdict":
+        r = views.surface(mask)
+        return cls(r != NOT_SURFACE, None if r == NOT_SURFACE else r, mask)
 
 
-def is_k_surface(obj: "Poset | SuborderView", use_memo: bool = True) -> SurfaceVerdict:
+def is_k_surface(obj: "Poset | SuborderView") -> SurfaceVerdict:
     """Run the recursive surface recognizer on a poset or suborder view."""
     view = as_view(obj)
-    memo = view.ambient.memo("surface") if use_memo else None
-    r = surface_rank_of_mask(view.ambient, view.mask, memo)
-    if r == NOT_SURFACE:
-        return SurfaceVerdict(False, None, view.mask)
-    return SurfaceVerdict(True, r, view.mask)
+    return SurfaceVerdict.of(Views(view.ambient), view.mask)
 
 
-def _coherent_mask(poset: Poset, mask: int, memo: dict | None) -> bool:
-    if memo is not None:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-    if mask == 0:
-        result = True
-    else:
-        n = view_rank(poset, mask, memo is not None)
-        theta = poset.theta_masks
-        result = True
-        for h in iter_bits(mask):
-            t = theta[h] & mask
-            if view_rank(poset, t, memo is not None) != n - 1 or not _coherent_mask(poset, t, memo):
-                result = False
-                break
-    if memo is not None:
-        memo[mask] = result
-    return result
-
-
-def is_coherent(obj: "Poset | SuborderView", use_memo: bool = True) -> bool:
+def is_coherent(obj: "Poset | SuborderView") -> bool:
     """True when every strict neighborhood drops rank by exactly one, recursively."""
     view = as_view(obj)
-    memo = view.ambient.memo("coherent") if use_memo else None
-    return _coherent_mask(view.ambient, view.mask, memo)
+    return Views(view.ambient).coherent(view.mask)

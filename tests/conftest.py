@@ -42,6 +42,16 @@ def octahedron() -> SimplicialComplex:
     return simplicial_join(sphere(1), poles)
 
 
+def memo_on_and_off(monkeypatch, fn):
+    """``fn()`` with the recognizers' memos on, then with POSURF_DISABLE_MEMO=1."""
+    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
+    on = fn()
+    monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
+    off = fn()
+    monkeypatch.delenv("POSURF_DISABLE_MEMO")
+    return on, off
+
+
 def chain_poset(n: int) -> Poset:
     return Poset([[i - 1] if i else [] for i in range(n)])
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from posurf.errors import DomainError
+from posurf.poset import Poset, as_view
+
 
 # ---------------------------------------------------------------------------
 # poset-level oracles over raw cover lists
@@ -458,3 +461,110 @@ def powerset_nonempty(vertices):
     for r in range(1, len(vs) + 1):
         out.update(frozenset(c) for c in combinations(vs, r))
     return out
+
+
+# ---------------------------------------------------------------------------
+# order isomorphism by backtracking search (small instances only); this one
+# reads Poset objects, since what it checks is the face-poset bridge
+
+
+def _materialize(obj: "Poset | SuborderView") -> Poset:
+    if isinstance(obj, Poset):
+        return obj
+    return as_view(obj).to_poset()
+
+
+def _iso_signatures(p: Poset, rounds: int = 2) -> list:
+    """Per-face invariants refined over the cover graph (WL-style)."""
+    n = len(p)
+    up: list[list[int]] = [[] for _ in range(n)]
+    for h in range(n):
+        for c in p.covers(h):
+            up[c].append(h)
+    sig: list = [(p.face_ranks[h], len(p.covers(h)), len(up[h])) for h in range(n)]
+    for _ in range(rounds):
+        sig = [
+            (
+                sig[h],
+                tuple(sorted(sig[c] for c in p.covers(h))),
+                tuple(sorted(sig[g] for g in up[h])),
+            )
+            for h in range(n)
+        ]
+    return sig
+
+
+def is_isomorphic(p: "Poset | SuborderView", q: "Poset | SuborderView", max_faces: int = 40) -> bool:
+    """Order-isomorphism by backtracking search; small inputs only.
+
+    Inputs larger than ``max_faces`` are refused with a DomainError: the
+    search is exponential in general.
+    """
+    pa = _materialize(p)
+    qa = _materialize(q)
+    if len(pa) > max_faces or len(qa) > max_faces:
+        raise DomainError(f"isomorphism test refused: inputs above {max_faces} faces")
+    if len(pa) != len(qa):
+        return False
+    if pa.rank() != qa.rank():
+        return False
+
+    sig_p = _iso_signatures(pa)
+    sig_q = _iso_signatures(qa)
+    if sorted(map(repr, sig_p)) != sorted(map(repr, sig_q)):
+        return False
+
+    n = len(pa)
+    candidates: list[list[int]] = []
+    by_sig: dict[str, list[int]] = {}
+    for j in range(n):
+        by_sig.setdefault(repr(sig_q[j]), []).append(j)
+    for h in range(n):
+        candidates.append(by_sig.get(repr(sig_p[h]), []))
+        if not candidates[-1]:
+            return False
+
+    order = sorted(range(n), key=lambda h: len(candidates[h]))
+    mapping = [-1] * n
+    used = [False] * n
+
+    up_p: list[list[int]] = [[] for _ in range(n)]
+    up_q: list[list[int]] = [[] for _ in range(n)]
+    for h in range(n):
+        for c in pa.covers(h):
+            up_p[c].append(h)
+        for c in qa.covers(h):
+            up_q[c].append(h)
+    covers_q = [set(qa.covers(h)) for h in range(n)]
+    coverers_q = [set(up_q[h]) for h in range(n)]
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        a = order[i]
+        for b in candidates[a]:
+            if used[b]:
+                continue
+            ok = True
+            for c in pa.covers(a):
+                m = mapping[c]
+                if m >= 0 and m not in covers_q[b]:
+                    ok = False
+                    break
+            if ok:
+                for g in up_p[a]:
+                    m = mapping[g]
+                    if m >= 0 and m not in coverers_q[b]:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            mapping[a] = b
+            used[b] = True
+            if extend(i + 1):
+                return True
+            mapping[a] = -1
+            used[b] = False
+        return False
+
+    return extend(0)

@@ -27,10 +27,10 @@ from posurf import (
     sphere,
 )
 from posurf.poset import SuborderView, component_masks, iter_bits
-from posurf.surfaces import surface_rank_of_mask
+from posurf.surfaces import Views
 
 from . import oracles
-from .conftest import big_complex_corpus, complex_corpus, poset_corpus
+from .conftest import big_complex_corpus, complex_corpus, memo_on_and_off, poset_corpus
 from .test_propositions import (
     all_posets,
     check_border_neighborhood_equality,
@@ -189,21 +189,18 @@ def test_criterion_3_proposition_suite():
     _passed(3, f"propositions hold on {len(complexes)} complexes and {n_pcms} PCMs")
 
 
-def test_criterion_4_differential_tests():
+def test_criterion_4_differential_tests(monkeypatch):
     complexes = complex_corpus() + big_complex_corpus()
     assert all(len(k) <= 200 for _, k in complexes)
 
     # memoized vs unmemoized recognition
     targets = [p for _, p in poset_corpus()] + [k.face_poset() for _, k in complexes]
     for p in targets:
-        a = is_k_surface(p, use_memo=True)
-        b = is_k_surface(p, use_memo=False)
+        a, b = memo_on_and_off(monkeypatch, lambda: is_k_surface(p))
         assert (a.is_surface, a.rank) == (b.is_surface, b.rank)
-        for h in range(len(p)):
-            mask = p.theta_masks[h]
-            assert surface_rank_of_mask(p, mask, p.memo("surface")) == surface_rank_of_mask(
-                p, mask, None
-            )
+        # every strict neighborhood, one by one
+        a, b = memo_on_and_off(monkeypatch, lambda: list(map(Views(p).surface, p.theta_masks)))
+        assert a == b
 
     # dual-graph connectivity vs the path-based definition, all pure inputs
     pure = [(n, k) for n, k in complexes if k.dim >= 1 and k.is_pure()]
@@ -257,7 +254,7 @@ def test_criterion_5_cut_and_glue():
         v = is_k_surface(equator)
         assert v.is_surface and v.rank == 1
         rest = p.full_mask & ~equator.mask
-        comps = component_masks(p, rest)
+        comps = list(component_masks(p, rest))
         assert len(comps) == 2
         sides = []
         for cm in comps:

@@ -4,7 +4,9 @@ import pytest
 
 from posurf import (
     DomainError,
+    PcmVerdict,
     Poset,
+    SuborderView,
     annulus,
     border,
     check_condition_C,
@@ -21,6 +23,7 @@ from posurf import (
 from .conftest import (
     antichain_poset,
     chain_poset,
+    memo_on_and_off,
     path_complex,
     two_triangles_shared_edge,
     two_triangles_shared_vertex,
@@ -134,15 +137,16 @@ def test_pcm_matches_brute_oracle(posets, complexes):
         assert (got.holds, got.rank) == expect
 
 
-def test_memoized_vs_unmemoized_pcm(posets, complexes):
+def test_memoized_vs_unmemoized_pcm(posets, complexes, monkeypatch):
     targets = [p for _, p in posets] + [k.face_poset() for _, k in complexes]
     for p in targets:
-        a = is_pcm(p, use_memo=True)
-        b = is_pcm(p, use_memo=False)
+        a, b = memo_on_and_off(monkeypatch, lambda: is_pcm(p))
         assert (a.holds, a.rank) == (b.holds, b.rank)
-        c = is_smooth_pcm(p, use_memo=True)
-        d = is_smooth_pcm(p, use_memo=False)
+        c, d = memo_on_and_off(monkeypatch, lambda: is_smooth_pcm(p))
         assert (c.holds, c.rank) == (d.holds, d.rank)
+        if len(p):
+            e, f = memo_on_and_off(monkeypatch, lambda: border(p))
+            assert e == f
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,15 @@ def test_pinched_box_pcm_but_not_smooth():
     assert not is_smooth_pcm(p).holds
 
 
+def test_pcm_and_smooth_verdicts_do_not_depend_on_call_order():
+    # one recursion decides both, over separate memos on the same poset
+    for order in ((is_smooth_pcm, is_pcm), (is_pcm, is_smooth_pcm)):
+        p = pinched_box(6).face_poset()
+        got = {recognizer: recognizer(p) for recognizer in order}
+        assert got[is_pcm] == PcmVerdict(True, 3)
+        assert got[is_smooth_pcm] == PcmVerdict(False, None)
+
+
 def test_smooth_matches_literal_partition_oracle():
     # the border condition is implemented via connected components (plus
     # the even-pairing rule at rank 0); the oracle instead enumerates every
@@ -184,6 +197,7 @@ def test_smooth_matches_literal_partition_oracle():
     import random
 
     rng = random.Random(424242)
+    view_rng = random.Random(4242)
     checked = 0
     for _ in range(400):
         n = rng.randint(0, 8)
@@ -195,6 +209,9 @@ def test_smooth_matches_literal_partition_oracle():
         expect = oracles.brute_is_smooth_pcm(covers)
         got = is_smooth_pcm(p)
         assert (got.holds, got.rank) == expect, covers
+        view = SuborderView(p, view_rng.randrange(1 << n))
+        got = is_smooth_pcm(view)
+        assert (got.holds, got.rank) == oracles.brute_is_smooth_pcm(covers, view.members), covers
         checked += 1
     assert checked == 400
 

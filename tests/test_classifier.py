@@ -116,8 +116,8 @@ def test_cross_check_detects_disagreement(tmp_path, monkeypatch):
 
     real = classify_mod.classify_fast
 
-    def broken(k, use_memo=True):
-        c = real(k, use_memo)
+    def broken(k):
+        c = real(k)
         c.is_surface, c.is_pcm = c.is_pcm, c.is_surface
         return c
 

@@ -5,7 +5,7 @@ import json
 import subprocess
 import sys
 
-from posurf import classify_both, read_facets, sphere, write_facets
+from posurf import SimplicialComplex, classify_both, read_facets, sphere, write_facets
 from posurf.cli import main
 
 
@@ -202,6 +202,20 @@ def test_memo_disable_env_var(capsys, monkeypatch):
     )
     assert code == 0
     assert out_nomemo == out_memo
+
+
+def test_classify_counts_faces_without_the_face_poset(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("face poset built")
+
+    monkeypatch.setattr(SimplicialComplex, "face_poset", refuse)
+    code, out, _ = run_cli(
+        ["classify", "--json"], stdin_text=write_facets(sphere(2)), monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    instance = json.loads(out)["instance"]
+    assert instance == {"total_faces": 14, "faces_by_rank": {"0": 4, "1": 6, "2": 4}}
 
 
 def test_bench_small(capsys):

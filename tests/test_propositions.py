@@ -10,7 +10,6 @@ from posurf import (
     SimplicialComplex,
     border,
     is_coherent,
-    is_isomorphic,
     is_k_surface,
     is_pcm,
     is_smooth_pcm,
@@ -23,6 +22,7 @@ from posurf import (
 from posurf.border import border_mask_of
 from posurf.poset import as_view, iter_bits
 
+from . import oracles
 from .conftest import antichain_poset, complex_corpus, path_complex, poset_corpus
 
 
@@ -202,7 +202,7 @@ def test_join_factor_classification_inside_pcms():
 
 def border_set(p: Poset, members=None) -> frozenset[int]:
     view = as_view(p) if members is None else restrict(p, sorted(members))
-    return frozenset(iter_bits(border_mask_of(view.ambient, view.mask, view.ambient.memo("surface"))))
+    return frozenset(iter_bits(border_mask_of(view)))
 
 
 def check_border_neighborhood_inclusion(p: Poset):
@@ -347,7 +347,7 @@ def test_link_of_border_face_matches_border_of_link(complexes):
             border_of_link_complex = SimplicialComplex(
                 [sorted(map(int, lk_poset.label(x).split(","))) for x in border_of_link]
             )
-            assert is_isomorphic(
+            assert oracles.is_isomorphic(
                 lk_of_border.face_poset(), border_of_link_complex.face_poset(), max_faces=60
             ), (name, sorted(f))
 

@@ -11,7 +11,7 @@ from posurf import (
     theta_view,
 )
 
-from .conftest import antichain_poset, chain_poset
+from .conftest import antichain_poset, chain_poset, memo_on_and_off
 from . import oracles
 
 
@@ -103,12 +103,29 @@ def test_random_posets_match_brute_oracles():
             assert (pv.holds, pv.rank) == oracles.brute_is_pcm(covers, view.members)
 
 
-def test_memoized_vs_unmemoized_agree(posets, complexes):
+def test_memoized_vs_unmemoized_agree(posets, complexes, monkeypatch):
     targets = [p for _, p in posets] + [k.face_poset() for _, k in complexes]
     for p in targets:
-        with_memo = is_k_surface(p, use_memo=True)
-        without = is_k_surface(p, use_memo=False)
+        with_memo, without = memo_on_and_off(monkeypatch, lambda: is_k_surface(p))
         assert (with_memo.is_surface, with_memo.rank) == (without.is_surface, without.rank)
+        coherent, coherent_without = memo_on_and_off(monkeypatch, lambda: is_coherent(p))
+        assert coherent == coherent_without
+
+
+def test_memo_switch_stores_nothing(monkeypatch):
+    from posurf import border, is_pcm, is_smooth_pcm
+
+    names = ("view_rank", "surface", "coherent", "pcm", "smooth")
+    monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
+    p = sphere(2).face_poset()
+    for recognizer in (is_k_surface, is_coherent, border, is_pcm, is_smooth_pcm):
+        recognizer(p)
+    assert is_k_surface(p).rank == 2
+    assert [len(p.memo(name)) for name in names] == [0] * 5
+    monkeypatch.delenv("POSURF_DISABLE_MEMO")
+    q = sphere(2).face_poset()
+    assert is_k_surface(q).rank == 2
+    assert q.memo("surface") and q.memo("view_rank")
 
 
 # ---------------------------------------------------------------------------
