@@ -4,16 +4,17 @@ The border of a rank-n suborder collects the faces whose strict
 neighborhood fails the (n-1)-surface test; the interior is the rest.
 These are thin wrappers over the one recursion of
 :class:`posurf.surfaces.Views`, which decides PCM and smooth PCM alike and
-shares its memos with the surface recognizer.
+shares its memos with the surface recognizer. Condition (C) is decided on
+a simplicial complex's boundary complex instead, with no face poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DomainError
-from .poset import Poset, SuborderView, as_view, component_masks, iter_bits, mask_of
+from .poset import Poset, SuborderView, as_view, component_masks, iter_bits
+from .simplicial import SimplicialComplex
 from .surfaces import NOT_PCM, SurfaceVerdict, Views
 
 __all__ = [
@@ -92,32 +93,37 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
     return _pcm_verdict(obj, smooth=True)
 
 
-def check_condition_C(complex, border_faces: Iterable[int] | None = None) -> bool:
-    """Border-smoothness condition for a simplicial PCM of rank >= 2.
+def check_condition_C(complex) -> bool:
+    """Border-smoothness condition (C) for a simplicial n-PCM, n >= 2.
 
-    Holds when every border face has, inside the border suborder, a strict
-    neighborhood that is an (n-2)-surface. When ``border_faces`` is omitted
-    the input is first verified to be an n-PCM (DomainError otherwise) and
-    the border is computed from the definition; callers that have already
-    established PCM-hood pass the border to skip both steps.
+    (C) asks every border face for a strict neighborhood inside the border
+    that is an (n-2)-surface. It is decided here from simplicial data only,
+    without the face poset, and it decides smoothness exactly:
 
-    The condition is sufficient for smoothness; it is not claimed necessary,
-    so a negative answer alone does not settle non-smoothness.
+    1. Smooth implies (C): a smooth PCM's border is a separated union of
+       (n-1)-surfaces, and inside such a union each face's strict
+       neighborhood is the one it has in its own component, an
+       (n-2)-surface.
+    2. (C) implies smooth: the paper's sufficient condition.
+    3. The border of a simplicial PCM is its boundary complex B, the
+       closure of the ridges under exactly one top facet. Every ridge of B
+       lies under exactly two facets of B, because in a normal
+       pseudomanifold the link of a codimension-2 face is a path or a
+       cycle. (C) then holds iff, for every face of B of codimension >= 2
+       in B, the facets of B over it are connected through ridges of B
+       over it: each vertex-connected component of B is a closed normal
+       (n-1)-pseudomanifold, for n-1 >= 2 an (n-1)-surface by the normal
+       pseudomanifold characterization, and for n-1 = 1 a cycle.
+
+    The input must be a normal pseudomanifold of dimension n >= 2 with at
+    least one boundary ridge, which is what an n-PCM is among simplicial
+    complexes; DomainError otherwise.
     """
-    from .simplicial import SimplicialComplex
-
     if not isinstance(complex, SimplicialComplex):
         raise DomainError("condition (C) applies to simplicial complexes")
-    n = complex.dim
-    if n < 2:
+    if complex.dim < 2:
         raise DomainError("condition (C) applies to complexes of rank >= 2")
-    poset = complex.face_poset()
-    views = Views(poset)
-    if border_faces is None:
-        if views.pcm(poset.full_mask) != n:
-            raise DomainError("condition (C) requires an n-PCM input")
-        bmask = views.border(poset.full_mask)
-    else:
-        bmask = mask_of(as_view(poset), border_faces)
-    theta = poset.theta_masks
-    return all(views.surface(theta[h] & bmask) == n - 2 for h in iter_bits(bmask))
+    boundary = complex.boundary_complex()
+    if not (complex.is_normal_pseudomanifold() and len(boundary)):
+        raise DomainError("condition (C) requires an n-PCM input")
+    return boundary._stars_connected()

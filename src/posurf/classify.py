@@ -9,6 +9,8 @@ Normality is decided from star connectivity over the complex's ridge
 index (the facets over each face of codimension >= 2 must be connected
 through ridges over that face), which for a pseudomanifold is equivalent
 to every such link being a pseudomanifold; no link complex is built.
+Smoothness of a PCM is condition (C) on its boundary complex, which
+decides it exactly; the fast path builds no face poset at rank >= 2.
 ``cross_check`` runs both paths over a corpus and fails loudly on any
 disagreement.
 """
@@ -28,7 +30,7 @@ from .border import (
     is_smooth_pcm,
 )
 from .errors import CrossCheckError, DomainError
-from .poset import as_view, iter_bits
+from .poset import as_view
 from .simplicial import SimplicialComplex, write_facets
 from .surfaces import Views, is_k_surface
 
@@ -131,11 +133,10 @@ def classify_fast(k) -> Classification:
 
     For rank >= 2: not a normal pseudomanifold means neither surface nor
     PCM; a normal pseudomanifold is a surface when its border is empty
-    (every ridge under two top faces) and a PCM otherwise. Smoothness of a
-    PCM is decided by the border condition when it holds; since that
-    condition is only known sufficient, a negative is confirmed by the
-    recursive smoothness check before reporting. Ranks below 2 fall back
-    to the recursive path wholesale.
+    (every ridge under two top faces) and a PCM otherwise. A PCM is smooth
+    exactly when condition (C) holds on its boundary complex, the closure
+    of the ridges under one top face. Ranks below 2 fall back to the
+    recursive path wholesale.
     """
     if not isinstance(k, SimplicialComplex):
         raise DomainError("fast classification requires a simplicial complex")
@@ -147,51 +148,17 @@ def classify_fast(k) -> Classification:
     timings: dict[str, float] = {}
     pm = _timed(timings, "pseudomanifold", k.is_pseudomanifold)
     normal = pm and _timed(timings, "normal_pseudomanifold", k.is_normal_pseudomanifold)
-    if not normal:
-        return Classification(
-            rank=n,
-            is_surface=False,
-            is_pcm=False,
-            is_smooth_pcm=False,
-            is_pseudomanifold=pm,
-            is_normal_pseudomanifold=False,
-            border_empty=None,
-            path="fast",
-            timings=timings,
-        )
-    t0 = time.perf_counter()
-    boundary_ridges = [r for r, c in k.ridge_facet_counts().items() if c == 1]
-    border_empty = not boundary_ridges
-    timings["border"] = time.perf_counter() - t0
-    smooth: bool | None = False
-    if border_empty:
-        surface, pcm = True, False
-    else:
-        surface, pcm = False, True
-        # The border of a simplicial PCM is the inclusion closure of its
-        # boundary ridges, so it can be assembled without rank recursion.
-        t0 = time.perf_counter()
-        poset = k.face_poset()
-        bmask = 0
-        for ridge in boundary_ridges:
-            fid = k.face_id(ridge)
-            bmask |= poset.alpha_masks[fid] | (1 << fid)
-        border_faces = tuple(iter_bits(bmask))
-        cond = check_condition_C(k, border_faces=border_faces)
-        timings["condition_C"] = time.perf_counter() - t0
-        if cond:
-            smooth = True
-        else:
-            smooth = _timed(
-                timings, "smooth_pcm_fallback", lambda: is_smooth_pcm(poset).holds
-            )
+    border_empty = None
+    if normal:
+        border_empty = len(_timed(timings, "border", k.boundary_complex)) == 0
+    pcm = normal and not border_empty
     return Classification(
         rank=n,
-        is_surface=surface,
+        is_surface=normal and border_empty,
         is_pcm=pcm,
-        is_smooth_pcm=smooth,
-        is_pseudomanifold=True,
-        is_normal_pseudomanifold=True,
+        is_smooth_pcm=pcm and _timed(timings, "condition_C", lambda: check_condition_C(k)),
+        is_pseudomanifold=pm,
+        is_normal_pseudomanifold=normal,
         border_empty=border_empty,
         path="fast",
         timings=timings,
@@ -264,7 +231,7 @@ class CrossCheckReport:
 
 def _fresh(k: SimplicialComplex) -> SimplicialComplex:
     # Rebuild so neither path warms the other's caches during timing.
-    return SimplicialComplex.from_facets(k.facets) if len(k) else SimplicialComplex(())
+    return SimplicialComplex.from_facets(k.facets)
 
 
 def cross_check(

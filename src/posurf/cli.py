@@ -18,7 +18,7 @@ from .classify import classify_both, classify_fast, classify_recursive, cross_ch
 from .errors import CrossCheckError, DomainError, ParseError, PosurfError
 from .generators import generate, generator_names, random_pure_complex, sphere
 from .poset import from_hasse, restrict, to_hasse
-from .simplicial import SimplicialComplex, read_facets, write_facets
+from .simplicial import SimplicialComplex, read_facets, simplicial_join, write_facets
 from .surfaces import is_k_surface
 
 _GOLDEN_BENCH = (
@@ -28,6 +28,9 @@ _GOLDEN_BENCH = (
     ("annulus 6", lambda: generate("annulus", 6)),
     ("pinched-sphere", lambda: generate("pinched-sphere")),
     ("pinched-box 6", lambda: generate("pinched-box", 6)),
+    # non-smooth 3-PCMs: pinched-box 4 is the cone over annulus 4
+    ("pinched-box 4", lambda: generate("pinched-box", 4)),
+    ("suspension of annulus 4", lambda: simplicial_join(generate("annulus", 4), sphere(0))),
 )
 
 

@@ -70,6 +70,8 @@ class SimplicialComplex:
         self._face_ids: dict[frozenset, int] | None = None
         self._ridges: dict[frozenset, list[int]] | None = None
         self._pseudomanifold: bool | None = None
+        self._normal: bool | None = None
+        self._boundary: SimplicialComplex | None = None
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -134,9 +136,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self)} faces, dim {self._dim})"
-
-    def faces_of_dim(self, d: int) -> tuple[frozenset, ...]:
-        return tuple(f for f in self._canonical if len(f) == d + 1)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, from 0 up to dim."""
@@ -203,10 +202,6 @@ class SimplicialComplex:
             self._ridges = ridges
         return self._ridges
 
-    def ridge_facet_counts(self) -> dict[frozenset, int]:
-        """For each (dim-1)-face under a top facet: its number of top cofaces."""
-        return {r: len(cofacets) for r, cofacets in self._ridge_index().items()}
-
     def is_codim1_connected(self) -> bool:
         """Facet dual-graph connectivity (facets adjacent via a shared ridge).
 
@@ -250,11 +245,15 @@ class SimplicialComplex:
         ridges R - f lies under as many of its facets as the ridge R of the
         complex does, so one or two; the link is then a pseudomanifold iff
         its dual graph is connected, and that graph is the star's graph of
-        facets over f joined by ridges over f. One union-find per face,
-        built from the ridge index, and dropped on return.
+        facets over f joined by ridges over f. Cached on the complex.
         """
-        if not self.is_pseudomanifold():
-            return False
+        if self._normal is None:
+            self._normal = self.is_pseudomanifold() and self._stars_connected()
+        return self._normal
+
+    def _stars_connected(self) -> bool:
+        """Over each face of codimension >= 2 under a ridge, the facets are
+        connected through ridges: one union-find per face, from the ridge index."""
         n = self._dim
         stars: dict[frozenset, dict[int, int]] = {}
         for ridge, cofacets in self._ridge_index().items():
@@ -268,6 +267,18 @@ class SimplicialComplex:
                     for other in cofacets[1:]:
                         _union(parent, cofacets[0], other)
         return all(sum(1 for i, p in parent.items() if i == p) == 1 for parent in stars.values())
+
+    def boundary_complex(self) -> "SimplicialComplex":
+        """Closure of the ridges that lie under exactly one top facet; cached.
+
+        On a simplicial PCM this is its border: the faces whose strict
+        neighborhood in the face poset is not a surface.
+        """
+        if self._boundary is None:
+            self._boundary = SimplicialComplex.from_facets(
+                r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1
+            )
+        return self._boundary
 
 
 def _find(parent, x: int) -> int:

@@ -42,6 +42,27 @@ def octahedron() -> SimplicialComplex:
     return simplicial_join(sphere(1), poles)
 
 
+def two_disks_glued_at_a_vertex() -> SimplicialComplex:
+    """Two copies of disk 4 that share rim vertex 0 and nothing else."""
+    copy = [[v + 5 if v else 0 for v in f] for f in disk(4).facets]
+    return SimplicialComplex.from_facets(list(disk(4).facets) + copy)
+
+
+def joins_and_gluings() -> list[tuple[str, SimplicialComplex]]:
+    """Non-smooth PCMs built by joins, and a non-normal gluing of two disks.
+
+    Each join is a PCM whose border is not a union of separated surfaces.
+    The cone over annulus 4 is pinched-box 4, which the corpora list by that
+    name.
+    """
+    return [
+        ("suspension of annulus 4", simplicial_join(annulus(4), sphere(0))),
+        ("cone over pinched-box 4", simplicial_join(pinched_box(4), solid_simplex(0))),
+        ("annulus 4 * edge", simplicial_join(annulus(4), solid_simplex(1))),
+        ("two disks glued at a vertex", two_disks_glued_at_a_vertex()),
+    ]
+
+
 def memo_on_and_off(monkeypatch, fn):
     """``fn()`` with the recognizers' memos on, then with POSURF_DISABLE_MEMO=1."""
     monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
@@ -110,14 +131,14 @@ def poset_corpus() -> list[tuple[str, Poset]]:
 
 
 def big_complex_corpus() -> list[tuple[str, SimplicialComplex]]:
-    """Instances above 60 faces, still at most 200, for the differentials."""
+    """Larger instances, at most 200 faces, for the differentials."""
     return [
         ("pinched sphere", pinched_sphere()),
         ("annulus 6", annulus(6)),
         ("pinched-box 4", pinched_box(4)),
         ("pinched-box 6", pinched_box(6)),
         ("sphere 4", sphere(4)),
-    ]
+    ] + joins_and_gluings()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from posurf.errors import DomainError
-from posurf.poset import Poset, as_view
+from posurf.poset import Poset, as_view, iter_bits
+from posurf.surfaces import Views
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +284,29 @@ def brute_is_smooth_pcm(covers, members=None, max_border=8):
         return (False, None)
 
     return smooth(members)
+
+
+# ---------------------------------------------------------------------------
+# condition (C) on the face poset
+
+
+def condition_C_by_neighborhoods(k) -> bool:
+    """Condition (C) by its definition on the face poset: every border face
+    has, inside the border suborder, a strict neighborhood that is an
+    (n-2)-surface.
+
+    Verifies by the recursion that ``k`` is an n-PCM of rank n >= 2
+    (DomainError otherwise) and computes the border from the definition;
+    the package decides the same condition on the boundary complex.
+    """
+    n = k.dim
+    poset = k.face_poset()
+    views = Views(poset)
+    if n < 2 or views.pcm(poset.full_mask) != n:
+        raise DomainError("condition (C) requires an n-PCM input of rank >= 2")
+    bmask = views.border(poset.full_mask)
+    theta = poset.theta_masks
+    return all(views.surface(theta[h] & bmask) == n - 2 for h in iter_bits(bmask))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,13 @@ from posurf.poset import SuborderView, component_masks, iter_bits
 from posurf.surfaces import Views
 
 from . import oracles
-from .conftest import big_complex_corpus, complex_corpus, memo_on_and_off, poset_corpus
+from .conftest import (
+    big_complex_corpus,
+    complex_corpus,
+    joins_and_gluings,
+    memo_on_and_off,
+    poset_corpus,
+)
 from .test_propositions import (
     all_posets,
     check_border_neighborhood_equality,
@@ -137,7 +143,7 @@ def test_criterion_2_fast_recursive_equivalence():
         ("pinched-box 6", generate("pinched-box", 6)),
         ("random-pure 2 8 6 7", generate("random-pure", 2, 8, 6, 7)),
         ("empty", SimplicialComplex.from_facets([])),
-    ]
+    ] + joins_and_gluings()
     report = cross_check(instances)  # raises on any disagreement
     assert len(report.rows) == len(instances)
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Border decomposition, PCM and smooth-PCM recognizers, condition (C)."""
 
 import pytest
+from hypothesis import given, settings
 
 from posurf import (
     DomainError,
@@ -19,6 +20,8 @@ from posurf import (
     solid_simplex,
     sphere,
 )
+from posurf.border import border_mask_of
+from posurf.poset import iter_bits
 
 from .conftest import (
     antichain_poset,
@@ -28,6 +31,7 @@ from .conftest import (
     two_triangles_shared_edge,
     two_triangles_shared_vertex,
 )
+from .test_simplicial import random_complexes
 from . import oracles
 
 
@@ -279,4 +283,41 @@ def test_condition_C_preconditions():
     with pytest.raises(DomainError):
         check_condition_C(sphere(2))  # not a PCM
     with pytest.raises(DomainError):
+        check_condition_C(two_triangles_shared_vertex())  # boundary, but not normal
+    with pytest.raises(DomainError):
         check_condition_C(sphere(2).face_poset())  # not a complex
+
+
+def _condition_C_three_ways(k) -> bool | None:
+    """(C) on the boundary complex, (C) on the face poset and the recursive
+    smoothness verdict, which must agree, on a normal PCM of rank >= 2
+    (None on any other input). Also checks that the boundary complex is the
+    border of the face poset."""
+    if k.dim < 2 or not k.is_normal_pseudomanifold() or not len(k.boundary_complex()):
+        return None
+    poset = k.face_poset()
+    border_faces = {k.faces[h] for h in iter_bits(border_mask_of(poset))}
+    assert set(k.boundary_complex().faces) == border_faces
+    smooth = check_condition_C(k)
+    assert smooth == oracles.condition_C_by_neighborhoods(k) == is_smooth_pcm(poset).holds
+    return smooth
+
+
+def test_condition_C_decides_smoothness_on_corpora(complexes, big_complexes):
+    verdicts = {name: _condition_C_three_ways(k) for name, k in complexes + big_complexes}
+    assert [name for name, v in verdicts.items() if v is False] == [
+        "pinched-box 4",
+        "pinched-box 6",
+        "suspension of annulus 4",
+        "cone over pinched-box 4",
+        "annulus 4 * edge",
+    ]
+    assert sum(v is True for v in verdicts.values()) >= 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_complexes())
+def test_condition_C_decides_smoothness_on_random_complexes(k):
+    # the bound keeps the recursive verdict cheap; draws rarely exceed it
+    if len(k) <= 200:
+        _condition_C_three_ways(k)

@@ -70,6 +70,17 @@ def test_fast_pinched_box():
     assert c.is_normal_pseudomanifold and not c.border_empty
 
 
+def test_fast_path_builds_no_face_poset(monkeypatch):
+    def refuse(self):
+        raise AssertionError("face poset built")
+
+    monkeypatch.setattr(SimplicialComplex, "face_poset", refuse)
+    box = classify_fast(pinched_box(6))
+    assert (box.category, box.rank, box.is_smooth_pcm, box.border_empty) == ("pcm", 3, False, False)
+    rim = classify_fast(disk(6))
+    assert (rim.category, rim.rank, rim.is_smooth_pcm, rim.border_empty) == ("pcm", 2, True, False)
+
+
 def test_fast_pinched_sphere():
     c = classify_fast(pinched_sphere())
     assert c.category == "neither"

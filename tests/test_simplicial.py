@@ -303,7 +303,8 @@ def test_normal_pseudomanifold_matches_links_on_random_complexes(k):
 def test_icosahedron_structure():
     k = icosahedron()
     assert k.f_vector() == (12, 30, 20)
-    assert all(c == 2 for c in k.ridge_facet_counts().values())
+    # every ridge under exactly two triangles
+    assert k.is_pseudomanifold() and not len(k.boundary_complex())
     assert k.is_normal_pseudomanifold()
     v = is_k_surface(k.face_poset())
     assert v.is_surface and v.rank == 2
@@ -315,7 +316,8 @@ def test_icosahedron_structure():
 def test_pinched_sphere_structure():
     k = pinched_sphere()
     assert k.f_vector() == (11, 30, 20)
-    assert all(c == 2 for c in k.ridge_facet_counts().values())
+    # every ridge under exactly two triangles
+    assert k.is_pseudomanifold() and not len(k.boundary_complex())
 
 
 # ---------------------------------------------------------------------------
