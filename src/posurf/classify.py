@@ -231,7 +231,7 @@ class CrossCheckReport:
 
 def _fresh(k: SimplicialComplex) -> SimplicialComplex:
     # Rebuild so neither path warms the other's caches during timing.
-    return SimplicialComplex.from_facets(k.facets)
+    return SimplicialComplex(k.facets)
 
 
 def cross_check(

@@ -39,7 +39,7 @@ def solid_simplex(n: int) -> SimplicialComplex:
     """The full n-simplex on vertices 0..n."""
     if n < 0:
         raise DomainError("simplex needs n >= 0")
-    return SimplicialComplex.from_facets([range(n + 1)])
+    return SimplicialComplex([range(n + 1)])
 
 
 def sphere(n: int) -> SimplicialComplex:
@@ -47,18 +47,14 @@ def sphere(n: int) -> SimplicialComplex:
     if n < 0:
         raise DomainError("sphere needs n >= 0")
     verts = list(range(n + 2))
-    return SimplicialComplex.from_facets(
-        [verts[:i] + verts[i + 1 :] for i in range(len(verts))]
-    )
+    return SimplicialComplex([verts[:i] + verts[i + 1 :] for i in range(len(verts))])
 
 
 def disk(m: int) -> SimplicialComplex:
     """Triangulated disk: the cone over an m-cycle (apex is vertex m)."""
     if m < 3:
         raise DomainError("disk needs a cycle length m >= 3")
-    return SimplicialComplex.from_facets(
-        [(i, (i + 1) % m, m) for i in range(m)]
-    )
+    return SimplicialComplex([(i, (i + 1) % m, m) for i in range(m)])
 
 
 def annulus(m: int) -> SimplicialComplex:
@@ -70,7 +66,7 @@ def annulus(m: int) -> SimplicialComplex:
         j = (i + 1) % m
         facets.append((i, j, m + i))
         facets.append((j, m + i, m + j))
-    return SimplicialComplex.from_facets(facets)
+    return SimplicialComplex(facets)
 
 
 # Standard combinatorial icosahedron: apex 0, upper ring 1..5, lower ring
@@ -85,7 +81,7 @@ _ICOSAHEDRON = (
 
 def icosahedron() -> SimplicialComplex:
     """The icosahedron boundary: 12 vertices, 30 edges, 20 triangles."""
-    return SimplicialComplex.from_facets(_ICOSAHEDRON)
+    return SimplicialComplex(_ICOSAHEDRON)
 
 
 def pinched_sphere() -> SimplicialComplex:
@@ -95,7 +91,7 @@ def pinched_sphere() -> SimplicialComplex:
     5-cycles, so the quotient is still a simplicial complex; the merged
     vertex is the pinch.
     """
-    return SimplicialComplex.from_facets(
+    return SimplicialComplex(
         [tuple(0 if v == 11 else v for v in tri) for tri in _ICOSAHEDRON]
     )
 
@@ -104,7 +100,7 @@ def pinched_box(m: int) -> SimplicialComplex:
     """Cone over the triangulated annulus (apex is vertex 2m)."""
     if m < 4:
         raise DomainError("pinched-box needs a cycle length m >= 4")
-    apex = SimplicialComplex.from_facets([[2 * m]])
+    apex = SimplicialComplex([[2 * m]])
     return simplicial_join(annulus(m), apex)
 
 
@@ -185,7 +181,7 @@ def random_pure_complex(
         else:
             new = tuple(sorted(rng.sample(pool, dim + 1)))
         facets.add(new)
-    return SimplicialComplex.from_facets(sorted(facets))
+    return SimplicialComplex(sorted(facets))
 
 
 @dataclass(frozen=True)

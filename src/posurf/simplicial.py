@@ -1,14 +1,16 @@
 """Simplicial complexes: construction, links, joins, pseudomanifold tests.
 
 A simplex is a frozenset of integer vertex labels; its dimension is its
-cardinality minus one. A complex stores every nonempty face and is closed
-under inclusion (checked) and therefore under intersection. The face
-poset bridges a complex to the poset-level recognizers; there, the rank
-of every face equals its dimension.
+cardinality minus one. A complex is the downward closure of any family of
+simplices and stores every nonempty face, so it is closed under inclusion
+and therefore under intersection. The face poset bridges a complex to the
+poset-level recognizers; there, the rank of every face equals its
+dimension.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -16,83 +18,78 @@ from .errors import DomainError, ParseError
 from .poset import Poset
 
 __all__ = [
-    "Simplex",
     "SimplicialComplex",
     "simplicial_join",
     "read_facets",
     "write_facets",
 ]
 
-Simplex = frozenset
-
-# Upper bound on the closure of a facet list, checked before any subset is
-# enumerated. The sum of 2^|f| - 1 over the facets bounds the face count, and
-# every per-complex index (faces, ridges, stars) grows linearly in it. The
-# bound admits ``annulus 8000`` (112,000) and refuses one 18-vertex facet
-# (262,143), whose closure alone takes seconds and hundreds of megabytes.
+# Upper bound on the closure of a facet list, checked before each facet's
+# subsets are enumerated. The sum of 2^|f| - 1 over the facets bounds the
+# face count, and every per-complex index (faces, ridges, stars) grows
+# linearly in it. The bound admits ``annulus 8000`` (112,000) and refuses
+# one 18-vertex facet (262,143), whose closure alone takes seconds and
+# hundreds of megabytes.
 MAX_FACES = 1 << 17
 
 
 def _as_simplex(vertices: Iterable[int]) -> frozenset[int]:
-    s = frozenset(int(v) for v in vertices)
+    try:
+        s = frozenset(map(operator.index, vertices))
+    except TypeError:
+        raise DomainError(f"a simplex is a set of integer vertices, not {vertices!r}") from None
     if not s:
         raise DomainError("the empty simplex is not a face")
     return s
 
 
-def _canonical_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
+def _canonical(simplices: Iterable[tuple[int, ...]]) -> tuple[frozenset, ...]:
+    """Sorted vertex tuples as frozensets, by dimension, then vertex tuple.
+
+    Built from a list of known length: ``tuple()`` over a ``map`` grows by
+    repeated resizing, and over many small complexes that fragmented the
+    heap until peak RSS grew with the number of complexes built.
+    """
+    return tuple([frozenset(t) for t in sorted(sorted(simplices), key=len)])
 
 
 class SimplicialComplex:
-    """An inclusion-closed, intersection-closed family of nonempty simplices."""
+    """The downward closure of a family of nonempty integer simplices."""
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
-        faces = {_as_simplex(s) for s in simplices}
-        for f in faces:
-            if len(f) > 1:
-                for v in f:
-                    if f - {v} not in faces:
-                        raise DomainError(
-                            f"not closed under inclusion: {sorted(f - {v})} missing under {sorted(f)}"
-                        )
-        self._faces = frozenset(faces)
-        self._canonical = tuple(sorted(faces, key=_canonical_key))
-        self._dim = max((len(f) for f in faces), default=0) - 1
-        non_maximal = set()
-        for f in faces:
-            if len(f) > 1:
-                for v in f:
-                    non_maximal.add(f - {v})
-        self._facets = tuple(sorted((f for f in faces if f not in non_maximal), key=_canonical_key))
-        self._vertices = tuple(sorted(set().union(*faces))) if faces else ()
+        """Close ``simplices`` under inclusion; the maximal ones are the facets.
+
+        Raises DomainError, before enumerating a facet's subsets, when the
+        facets so far could have more than ``MAX_FACES`` faces together.
+        """
+        closure: set[tuple[int, ...]] = set()
+        facets = []
+        bound = 0
+        # largest first, so a generator under another one is already closed
+        for g in sorted({_as_simplex(s) for s in simplices}, key=len, reverse=True):
+            vs = tuple(sorted(g))
+            if vs in closure:
+                continue
+            bound += (1 << len(vs)) - 1
+            if bound > MAX_FACES:
+                raise DomainError(
+                    f"the closure of {len(facets) + 1} facet(s) may have up to "
+                    f"{bound} faces, above the limit of {MAX_FACES}"
+                )
+            facets.append(vs)
+            for r in range(1, len(vs) + 1):
+                closure.update(combinations(vs, r))
+        self._canonical = _canonical(closure)
+        # face -> its id in the face poset (the canonical position)
+        self._face_ids = dict(zip(self._canonical, range(len(closure))))
+        self._dim = len(self._canonical[-1]) - 1 if closure else -1
+        self._facets = _canonical(facets)
+        self._vertices = tuple(sorted(set().union(*facets)))
         self._poset: Poset | None = None
-        self._face_ids: dict[frozenset, int] | None = None
         self._ridges: dict[frozenset, list[int]] | None = None
         self._pseudomanifold: bool | None = None
         self._normal: bool | None = None
         self._boundary: SimplicialComplex | None = None
-
-    @classmethod
-    def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Downward closure of the given facets; each facet must be nonempty.
-
-        Raises DomainError, before enumerating any face, when the closure
-        could exceed ``MAX_FACES`` faces.
-        """
-        simplices = [_as_simplex(f) for f in facets]
-        bound = sum((1 << len(f)) - 1 for f in simplices)
-        if bound > MAX_FACES:
-            raise DomainError(
-                f"the closure of {len(simplices)} facet(s) may have up to {bound} faces, "
-                f"above the limit of {MAX_FACES}"
-            )
-        faces: set[frozenset] = set()
-        for f in simplices:
-            vs = sorted(f)
-            for r in range(1, len(vs) + 1):
-                faces.update(frozenset(c) for c in combinations(vs, r))
-        return cls(faces)
 
     # -- basic queries ------------------------------------------------------
 
@@ -126,13 +123,13 @@ class SimplicialComplex:
             s = _as_simplex(simplex)
         except DomainError:
             return False
-        return s in self._faces
+        return s in self._face_ids
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._faces == other._faces
+        return isinstance(other, SimplicialComplex) and self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(self._faces)
+        return hash(self._canonical)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self)} faces, dim {self._dim})"
@@ -140,7 +137,7 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, from 0 up to dim."""
         counts = [0] * (self._dim + 1)
-        for f in self._faces:
+        for f in self._canonical:
             counts[len(f) - 1] += 1
         return tuple(counts)
 
@@ -153,7 +150,7 @@ class SimplicialComplex:
         vertex tuple, comma separated. Cached on the complex.
         """
         if self._poset is None:
-            idx = self._face_index()
+            idx = self._face_ids
             covers = []
             labels = []
             for f in self._canonical:
@@ -162,27 +159,22 @@ class SimplicialComplex:
             self._poset = Poset(covers, labels)
         return self._poset
 
-    def _face_index(self) -> dict[frozenset, int]:
-        """Face -> its id in the face poset (the canonical position); cached."""
-        if self._face_ids is None:
-            self._face_ids = {f: i for i, f in enumerate(self._canonical)}
-        return self._face_ids
-
     def face_id(self, simplex) -> int:
         s = _as_simplex(simplex)
         try:
-            return self._face_index()[s]
+            return self._face_ids[s]
         except KeyError:
             raise DomainError(f"{sorted(s)} is not a face of the complex") from None
 
     # -- links and structural predicates ------------------------------------
 
     def link(self, simplex) -> "SimplicialComplex":
-        """Faces disjoint from ``simplex`` whose union with it is a face."""
+        """Faces disjoint from ``simplex`` whose union with it is a face: the
+        closure of ``F - simplex`` over the facets F strictly containing it."""
         h = _as_simplex(simplex)
-        if h not in self._faces:
+        if h not in self._face_ids:
             raise DomainError(f"{sorted(h)} is not a face of the complex")
-        return SimplicialComplex(f for f in self._faces if not f & h and (f | h) in self._faces)
+        return SimplicialComplex(f - h for f in self._facets if h < f)
 
     def is_pure(self) -> bool:
         """Every face lies under a top-dimensional facet."""
@@ -225,7 +217,7 @@ class SimplicialComplex:
         if self._pseudomanifold is None:
             n = self._dim
             if n <= 0:
-                self._pseudomanifold = n == 0 and len(self._faces) == 1
+                self._pseudomanifold = n == 0 and len(self._canonical) == 1
             else:
                 self._pseudomanifold = (
                     self.is_pure()
@@ -275,7 +267,7 @@ class SimplicialComplex:
         neighborhood in the face poset is not a surface.
         """
         if self._boundary is None:
-            self._boundary = SimplicialComplex.from_facets(
+            self._boundary = SimplicialComplex(
                 r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1
             )
         return self._boundary
@@ -297,16 +289,18 @@ def _union(parent, a: int, b: int) -> None:
 def simplicial_join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes: both plus all unions of a face from each.
 
-    When the vertex sets collide, the second complex is renumbered upward
-    by an offset; the result's dimension is dim(k) + dim(l) + 1.
+    It is the closure of the unions of a facet from each, or of the other
+    side's facets when one side is empty. When the vertex sets collide,
+    the second complex is renumbered upward by an offset; the result's
+    dimension is dim(k) + dim(l) + 1.
     """
-    l_faces = list(l.faces)
-    if k.vertices and l.vertices and set(k.vertices) & set(l.vertices):
+    l_facets = l.facets
+    if set(k.vertices) & set(l.vertices):
         offset = max(k.vertices) + 1 - min(l.vertices)
-        l_faces = [frozenset(v + offset for v in f) for f in l_faces]
-    faces = set(k.faces) | set(l_faces)
-    faces.update(x | y for x in k.faces for y in l_faces)
-    return SimplicialComplex(faces)
+        l_facets = tuple(frozenset(v + offset for v in f) for f in l_facets)
+    if not k.facets or not l_facets:
+        return SimplicialComplex(k.facets + l_facets)
+    return SimplicialComplex(x | y for x in k.facets for y in l_facets)
 
 
 def read_facets(text: str) -> SimplicialComplex:
@@ -324,7 +318,7 @@ def read_facets(text: str) -> SimplicialComplex:
         if len(set(verts)) != len(verts):
             raise ParseError(f"repeated vertex in facet: {line!r}", no)
         facets.append(verts)
-    return SimplicialComplex.from_facets(facets)
+    return SimplicialComplex(facets)
 
 
 def write_facets(k: SimplicialComplex) -> str:

@@ -21,31 +21,31 @@ from posurf import (
 
 def path_complex(edges: int) -> SimplicialComplex:
     """Simple open path with the given number of edges."""
-    return SimplicialComplex.from_facets([(i, i + 1) for i in range(edges)])
+    return SimplicialComplex([(i, i + 1) for i in range(edges)])
 
 
 def two_triangles_shared_vertex() -> SimplicialComplex:
-    return SimplicialComplex.from_facets([(0, 1, 2), (2, 3, 4)])
+    return SimplicialComplex([(0, 1, 2), (2, 3, 4)])
 
 
 def two_triangles_shared_edge() -> SimplicialComplex:
-    return SimplicialComplex.from_facets([(0, 1, 2), (1, 2, 3)])
+    return SimplicialComplex([(0, 1, 2), (1, 2, 3)])
 
 
 def three_triangles_shared_edge() -> SimplicialComplex:
-    return SimplicialComplex.from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    return SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
 def octahedron() -> SimplicialComplex:
     """Suspension of the triangle boundary: a 2-sphere on 6 vertices."""
-    poles = SimplicialComplex.from_facets([[100], [101]])
+    poles = SimplicialComplex([[100], [101]])
     return simplicial_join(sphere(1), poles)
 
 
 def two_disks_glued_at_a_vertex() -> SimplicialComplex:
     """Two copies of disk 4 that share rim vertex 0 and nothing else."""
     copy = [[v + 5 if v else 0 for v in f] for f in disk(4).facets]
-    return SimplicialComplex.from_facets(list(disk(4).facets) + copy)
+    return SimplicialComplex(list(disk(4).facets) + copy)
 
 
 def joins_and_gluings() -> list[tuple[str, SimplicialComplex]]:

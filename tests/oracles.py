@@ -319,6 +319,27 @@ def enumerate_cofaces(faces, h):
     return {f for f in faces if h < f}
 
 
+def link_by_faces(k, h) -> set[frozenset]:
+    """The faces of the link of h by definition: faces disjoint from h
+    whose union with h is a face, by a scan of every face."""
+    h = frozenset(h)
+    faces = set(k.faces)
+    return {f for f in faces if not f & h and (f | h) in faces}
+
+
+def join_by_faces(k, l) -> set[frozenset]:
+    """The faces of the join by definition: the faces of both complexes
+    plus every union of a face from each, with l renumbered upward by
+    max(k) + 1 - min(l) when the vertex sets collide."""
+    l_faces = list(l.faces)
+    if set(k.vertices) & set(l.vertices):
+        offset = max(k.vertices) + 1 - min(l.vertices)
+        l_faces = [frozenset(v + offset for v in f) for f in l_faces]
+    faces = set(k.faces) | set(l_faces)
+    faces.update(x | y for x in k.faces for y in l_faces)
+    return faces
+
+
 def codim1_connected_definitional(k) -> bool:
     """Every two top faces joined by a path within the top two dimensions.
 

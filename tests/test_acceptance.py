@@ -142,7 +142,7 @@ def test_criterion_2_fast_recursive_equivalence():
         ("pinched-box 4", generate("pinched-box", 4)),
         ("pinched-box 6", generate("pinched-box", 6)),
         ("random-pure 2 8 6 7", generate("random-pure", 2, 8, 6, 7)),
-        ("empty", SimplicialComplex.from_facets([])),
+        ("empty", SimplicialComplex([])),
     ] + joins_and_gluings()
     report = cross_check(instances)  # raises on any disagreement
     assert len(report.rows) == len(instances)
@@ -212,7 +212,7 @@ def test_criterion_4_differential_tests(monkeypatch):
     pure = [(n, k) for n, k in complexes if k.dim >= 1 and k.is_pure()]
     for name, k in pure:
         assert k.is_codim1_connected() == oracles.codim1_connected_definitional(k), name
-    disconnected = SimplicialComplex.from_facets([(0, 1, 2), (3, 4, 5)])
+    disconnected = SimplicialComplex([(0, 1, 2), (3, 4, 5)])
     assert not disconnected.is_codim1_connected()
     assert not oracles.codim1_connected_definitional(disconnected)
 

@@ -94,7 +94,7 @@ def test_fast_low_rank_falls_back():
 
 
 def test_empty_complex_report():
-    c = classify_fast(SimplicialComplex.from_facets([]))
+    c = classify_fast(SimplicialComplex([]))
     assert c.rank == -1
     assert c.is_surface and c.is_pcm and c.is_smooth_pcm
     assert c.category == "empty"

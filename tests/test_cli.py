@@ -5,7 +5,7 @@ import json
 import subprocess
 import sys
 
-from posurf import SimplicialComplex, classify_both, read_facets, sphere, write_facets
+from posurf import SimplicialComplex, annulus, classify_both, read_facets, sphere, write_facets
 from posurf.cli import main
 
 
@@ -174,6 +174,19 @@ def test_parse_error_reports_line(tmp_path, capsys):
     code, _, err = run_cli(["classify", str(bad)], capsys=capsys)
     assert code == 1
     assert "line 2" in err
+
+
+def test_recursive_mode_refuses_an_oversized_face_poset(capsys, monkeypatch):
+    # annulus 8000 has 64,000 faces; its face poset's bitmasks would take
+    # about 850 MB, so the recursive path fails before building them
+    code, _, err = run_cli(
+        ["classify", "--mode", "recursive", "-"],
+        stdin_text=write_facets(annulus(8000)),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 1
+    assert "64000 faces is above the limit" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -21,6 +21,7 @@ from posurf import (
     theta_view,
     to_hasse,
 )
+from posurf import poset as poset_module
 from posurf.poset import SuborderView, component_masks, iter_bits, view_rank
 
 from .conftest import antichain_poset, chain_poset
@@ -42,6 +43,15 @@ def test_rejects_cycles():
         Poset([[0]])
     with pytest.raises(DomainError):
         Poset([[3]])
+
+
+def test_poset_budget_boundary(monkeypatch):
+    monkeypatch.setattr(poset_module, "MAX_POSET_FACES", 3)
+    assert len(Poset([[], [0], [0]])) == 3
+    with pytest.raises(DomainError, match="limit of 3"):
+        Poset([[], [0], [0], [1, 2]])
+    with pytest.raises(ParseError, match="limit of 3"):
+        from_hasse("f 0 :\nf 1 :\nf 2 :\nf 3 :\n")
 
 
 def test_empty_poset():
@@ -68,7 +78,7 @@ def test_local_sets_triangle_coface():
     # strict opening of an edge of the full triangle is just the triangle
     from posurf import SimplicialComplex
 
-    k = SimplicialComplex.from_facets([{1, 2, 3}])
+    k = SimplicialComplex([{1, 2, 3}])
     p = k.face_poset()
     edge = face_of(k, {1, 2})
     tri = face_of(k, {1, 2, 3})

@@ -42,7 +42,7 @@ from . import oracles
 
 
 def test_from_facets_triangle():
-    k = SimplicialComplex.from_facets([{1, 2, 3}])
+    k = SimplicialComplex([{1, 2, 3}])
     assert len(k) == 7
     assert k.faces == tuple(sorted(oracles.powerset_nonempty({1, 2, 3}), key=lambda s: (len(s), tuple(sorted(s)))))
     assert k.dim == 2
@@ -55,24 +55,42 @@ def test_from_facets_sphere2_counts():
 
 
 def test_two_isolated_vertices():
-    k = SimplicialComplex.from_facets([{1}, {2}])
+    k = SimplicialComplex([{1}, {2}])
     assert len(k) == 2 and k.dim == 0
 
 
 def test_empty_complex():
-    k = SimplicialComplex.from_facets([])
+    k = SimplicialComplex([])
     assert len(k) == 0 and k.dim == -1
     assert k.face_poset().rank() == -1
 
 
 def test_empty_facet_rejected():
     with pytest.raises(DomainError):
-        SimplicialComplex.from_facets([[]])
+        SimplicialComplex([[]])
 
 
-def test_closure_validated():
+def test_constructor_closes_generators(monkeypatch):
+    # a family that is not closed under inclusion is closed by the constructor
+    k = SimplicialComplex([(1, 2), (2, 3, 4)])
+    assert set(k.faces) == oracles.powerset_nonempty({1, 2}) | oracles.powerset_nonempty({2, 3, 4})
+    assert k.facets == (frozenset({1, 2}), frozenset({2, 3, 4}))
+    # duplicate and non-maximal generators change neither the complex nor its
+    # facets, and only the two facets count toward the budget (3 + 7 faces)
+    monkeypatch.setattr(simplicial, "MAX_FACES", 10)
+    again = SimplicialComplex([(3, 4), (2, 1), (4, 3, 2), (1, 2), (2,), (2, 3, 4), (4,)])
+    assert again == k and again.faces == k.faces and again.facets == k.facets
+    with pytest.raises(DomainError, match="limit of 10"):
+        SimplicialComplex([(1, 2), (2, 3, 4), (5,)])
+
+
+def test_vertices_must_be_integers():
+    with pytest.raises(DomainError, match="integer"):
+        SimplicialComplex([(1.5, 2.9, 3)])
+    assert {"a"} not in sphere(2)
+    assert 7 not in sphere(2)
     with pytest.raises(DomainError):
-        SimplicialComplex([(1, 2)])  # missing vertices
+        sphere(2).face_id({"a"})
 
 
 def test_intersection_closed(complexes):
@@ -156,7 +174,7 @@ def test_link_coface_isomorphism(complexes):
 
 
 def test_cone_over_triangle_boundary_is_disk_like():
-    apex = SimplicialComplex.from_facets([[99]])
+    apex = SimplicialComplex([[99]])
     cone = simplicial_join(sphere(1), apex)
     assert cone.dim == 2
     assert len(cone.facets) == 3
@@ -179,6 +197,32 @@ def test_join_renumbers_on_collision():
     assert len(j.vertices) == 4
 
 
+def test_join_budget_fails_fast():
+    # the join of two 8-spheres has 1,046,528 faces, 8 times the limit
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="limit of"):
+        simplicial_join(sphere(8), sphere(8))
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_link_and_join_match_face_family_definitions(complexes, big_complexes):
+    empty = SimplicialComplex([])
+    for name, k in complexes + big_complexes:
+        for f in k.faces:
+            assert set(k.link(f).faces) == oracles.link_by_faces(k, f), (name, sorted(f))
+        # a cone and a suspension on colliding labels, and an empty side
+        others = [solid_simplex(0), sphere(0), empty]
+        if len(k) <= 60:
+            others.append(k)
+        for l in others:
+            for a, b in ((k, l), (l, k)):
+                j = simplicial_join(a, b)
+                assert set(j.faces) == oracles.join_by_faces(a, b), name
+                under = {f - {v} for f in j.faces for v in f}
+                assert set(j.facets) == set(j.faces) - under, name
+    assert len(simplicial_join(empty, empty)) == 0
+
+
 def test_pinched_box_is_join_of_annulus_and_point():
     box = pinched_box(6)
     assert box.dim == 3
@@ -192,8 +236,8 @@ def test_pinched_box_is_join_of_annulus_and_point():
 
 def test_purity_cases():
     assert sphere(2).is_pure()
-    assert SimplicialComplex.from_facets([[5]]).is_pure()
-    mixed = SimplicialComplex.from_facets([(1, 2, 3), (3, 4)])
+    assert SimplicialComplex([[5]]).is_pure()
+    mixed = SimplicialComplex([(1, 2, 3), (3, 4)])
     assert not mixed.is_pure()
 
 
@@ -202,7 +246,7 @@ def test_purity_cases():
 
 
 def test_codim1_requires_pure():
-    mixed = SimplicialComplex.from_facets([(1, 2, 3), (3, 4)])
+    mixed = SimplicialComplex([(1, 2, 3), (3, 4)])
     with pytest.raises(DomainError):
         mixed.is_codim1_connected()
 
@@ -211,7 +255,7 @@ def test_codim1_cases():
     assert sphere(2).is_codim1_connected()
     assert not two_triangles_shared_vertex().is_codim1_connected()
     assert pinched_sphere().is_codim1_connected()
-    disjoint = SimplicialComplex.from_facets([(0, 1, 2), (3, 4, 5)])
+    disjoint = SimplicialComplex([(0, 1, 2), (3, 4, 5)])
     assert not disjoint.is_codim1_connected()
 
 
@@ -249,9 +293,9 @@ def test_pseudomanifold_cases():
     assert sphere(2).is_pseudomanifold()
     assert pinched_sphere().is_pseudomanifold()
     assert not three_triangles_shared_edge().is_pseudomanifold()
-    assert SimplicialComplex.from_facets([[7]]).is_pseudomanifold()
+    assert SimplicialComplex([[7]]).is_pseudomanifold()
     assert not sphere(0).is_pseudomanifold()  # two isolated vertices
-    assert not SimplicialComplex.from_facets([]).is_pseudomanifold()
+    assert not SimplicialComplex([]).is_pseudomanifold()
 
 
 def test_normal_pseudomanifold_cases():
@@ -288,7 +332,7 @@ def random_complexes(draw):
     shape = draw(st.sampled_from(["pure", "non-pure", "suspended"]))
     if shape == "non-pure":
         other = draw(st.sampled_from([d for d in (1, 2, 3) if d != dim]))
-        k = SimplicialComplex.from_facets(k.facets + random_pure_complex(other, other + 3, 4, seed).facets)
+        k = SimplicialComplex(k.facets + random_pure_complex(other, other + 3, 4, seed).facets)
     elif shape == "suspended" and dim <= 3:
         k = simplicial_join(k, sphere(0))
     return k
@@ -339,15 +383,13 @@ def test_facet_parse_errors():
 
 def test_closure_budget_boundary(monkeypatch):
     monkeypatch.setattr(simplicial, "MAX_FACES", 8)
-    assert len(SimplicialComplex.from_facets([(1, 2, 3), (4,)])) == 8
+    assert len(SimplicialComplex([(1, 2, 3), (4,)])) == 8
     with pytest.raises(DomainError, match="limit of 8"):
-        SimplicialComplex.from_facets([(1, 2, 3), (4,), (5,)])
+        SimplicialComplex([(1, 2, 3), (4,), (5,)])
 
 
-def test_closure_budget_admits_annulus_8000(monkeypatch):
-    facets = []
-    monkeypatch.setattr(SimplicialComplex, "from_facets", facets.extend)
-    annulus(8000)
+def test_closure_budget_admits_annulus_8000():
+    facets = annulus(8000).facets
     assert sum(2 ** len(f) - 1 for f in facets) == 112_000 <= simplicial.MAX_FACES
 
 
