@@ -94,7 +94,7 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
 
 
 def check_condition_C(complex) -> bool:
-    """Border-smoothness condition (C) for a simplicial n-PCM, n >= 2.
+    """Border-smoothness condition (C) for a simplicial n-PCM, n >= 1.
 
     (C) asks every border face for a strict neighborhood inside the border
     that is an (n-2)-surface. It is decided here from simplicial data only,
@@ -113,16 +113,18 @@ def check_condition_C(complex) -> bool:
        in B, the facets of B over it are connected through ridges of B
        over it: each vertex-connected component of B is a closed normal
        (n-1)-pseudomanifold, for n-1 >= 2 an (n-1)-surface by the normal
-       pseudomanifold characterization, and for n-1 = 1 a cycle.
+       pseudomanifold characterization, and for n-1 = 1 a cycle. For
+       n = 1, B is a path's two endpoints and (C) holds trivially, so
+       every 1-PCM is smooth.
 
-    The input must be a normal pseudomanifold of dimension n >= 2 with at
+    The input must be a normal pseudomanifold of dimension n >= 1 with at
     least one boundary ridge, which is what an n-PCM is among simplicial
     complexes; DomainError otherwise.
     """
     if not isinstance(complex, SimplicialComplex):
         raise DomainError("condition (C) applies to simplicial complexes")
-    if complex.dim < 2:
-        raise DomainError("condition (C) applies to complexes of rank >= 2")
+    if complex.dim < 1:
+        raise DomainError("condition (C) applies to complexes of rank >= 1")
     boundary = complex.boundary_complex()
     if not (complex.is_normal_pseudomanifold() and len(boundary)):
         raise DomainError("condition (C) requires an n-PCM input")

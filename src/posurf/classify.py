@@ -2,15 +2,16 @@
 
 ``classify_recursive`` applies the recursive recognizers literally.
 ``classify_fast`` classifies a simplicial complex through the normal
-pseudomanifold test instead: for rank >= 2, a pure complex is a discrete
+pseudomanifold test instead: for rank >= 1, a pure complex is a discrete
 surface exactly when it is a normal pseudomanifold with empty border, and
-a PCM exactly when it is a normal pseudomanifold with nonempty border.
+a PCM exactly when it is a normal pseudomanifold with nonempty border;
+ranks -1 and 0 are decided by the vertex count.
 Normality is decided from star connectivity over the complex's ridge
 index (the facets over each face of codimension >= 2 must be connected
 through ridges over that face), which for a pseudomanifold is equivalent
 to every such link being a pseudomanifold; no link complex is built.
 Smoothness of a PCM is condition (C) on its boundary complex, which
-decides it exactly; the fast path builds no face poset at rank >= 2.
+decides it exactly; the fast path builds no face poset at any rank.
 ``cross_check`` runs both paths over a corpus and fails loudly on any
 disagreement.
 """
@@ -131,32 +132,35 @@ def classify_recursive(obj) -> Classification:
 def classify_fast(k) -> Classification:
     """Classify a simplicial complex through the normal pseudomanifold test.
 
-    For rank >= 2: not a normal pseudomanifold means neither surface nor
+    For rank >= 1: not a normal pseudomanifold means neither surface nor
     PCM; a normal pseudomanifold is a surface when its border is empty
     (every ridge under two top faces) and a PCM otherwise. A PCM is smooth
     exactly when condition (C) holds on its boundary complex, the closure
-    of the ridges under one top face. Ranks below 2 fall back to the
-    recursive path wholesale.
+    of the ridges under one top face. At rank 1 this reads: a cycle is a
+    surface and a path a smooth PCM. Ranks -1 and 0 are decided by the
+    vertex count: none or two make a surface, none or one a smooth PCM.
     """
     if not isinstance(k, SimplicialComplex):
         raise DomainError("fast classification requires a simplicial complex")
     n = k.dim
-    if n <= 1:
-        cls = classify_recursive(k)
-        cls.path = "fast"
-        return cls
     timings: dict[str, float] = {}
     pm = _timed(timings, "pseudomanifold", k.is_pseudomanifold)
     normal = pm and _timed(timings, "normal_pseudomanifold", k.is_normal_pseudomanifold)
-    border_empty = None
-    if normal:
-        border_empty = len(_timed(timings, "border", k.boundary_complex)) == 0
-    pcm = normal and not border_empty
+    if n <= 0:
+        v = len(k.vertices)
+        surface, pcm, smooth, border_empty = v in (0, 2), v <= 1, v <= 1, True
+    else:
+        border_empty = None
+        if normal:
+            border_empty = len(_timed(timings, "border", k.boundary_complex)) == 0
+        surface = normal and border_empty
+        pcm = normal and not border_empty
+        smooth = pcm and _timed(timings, "condition_C", lambda: check_condition_C(k))
     return Classification(
         rank=n,
-        is_surface=normal and border_empty,
+        is_surface=surface,
         is_pcm=pcm,
-        is_smooth_pcm=pcm and _timed(timings, "condition_C", lambda: check_condition_C(k)),
+        is_smooth_pcm=smooth,
         is_pseudomanifold=pm,
         is_normal_pseudomanifold=normal,
         border_empty=border_empty,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .border import border, is_pcm, is_smooth_pcm
-from .classify import classify_both, classify_fast, classify_recursive, cross_check
+from .classify import VERDICT_FIELDS, classify_both, classify_fast, classify_recursive, cross_check
 from .errors import CrossCheckError, DomainError, ParseError, PosurfError
 from .generators import generate, generator_names, random_pure_complex, sphere
 from .poset import from_hasse, restrict, to_hasse
@@ -22,6 +22,8 @@ from .simplicial import SimplicialComplex, read_facets, simplicial_join, write_f
 from .surfaces import is_k_surface
 
 _GOLDEN_BENCH = (
+    ("simplex 0", lambda: generate("simplex", 0)),
+    ("simplex 1", lambda: generate("simplex", 1)),
     ("simplex 3", lambda: generate("simplex", 3)),
     ("sphere 2", lambda: generate("sphere", 2)),
     ("disk 6", lambda: generate("disk", 6)),
@@ -69,10 +71,10 @@ def _faces_by_rank(obj) -> dict[str, int]:
     return {str(r): counts[r] for r in sorted(counts)}
 
 
-def _bool_word(v) -> str:
-    if v is None:
-        return "not evaluated"
-    return "yes" if v else "no"
+def _word(v) -> str:
+    if isinstance(v, bool):
+        return "yes" if v else "no"
+    return "not evaluated" if v is None else str(v)
 
 
 def _cmd_gen(args) -> int:
@@ -123,13 +125,8 @@ def _cmd_classify(args) -> int:
     else:
         meta = report["instance"]
         print(f"instance: {meta['total_faces']} faces, by rank {meta['faces_by_rank']}")
-        print(f"rank: {cls.rank}")
-        print(f"surface: {_bool_word(cls.is_surface)}")
-        print(f"pcm: {_bool_word(cls.is_pcm)}")
-        print(f"smooth pcm: {_bool_word(cls.is_smooth_pcm)}")
-        print(f"pseudomanifold: {_bool_word(cls.is_pseudomanifold)}")
-        print(f"normal pseudomanifold: {_bool_word(cls.is_normal_pseudomanifold)}")
-        print(f"border empty: {_bool_word(cls.border_empty)}")
+        for name in VERDICT_FIELDS:
+            print(f"{name.removeprefix('is_').replace('_', ' ')}: {_word(getattr(cls, name))}")
         print(f"category: {cls.category}")
         print(f"path: {cls.path}")
     return 0

@@ -10,7 +10,8 @@ or yes turns every memo into one that never stores, and each call then
 recomputes from the definitions (differential debugging); the switch is
 read when a ``Views`` is made, which each public recognizer does per call.
 The recursion is naturally depth-bounded: a strict neighborhood always has
-rank strictly below the view it was taken in.
+rank strictly below the view it was taken in. Only coherence, border and
+PCM tests compute ranks; the surface test's neighborhoods fix its rank.
 """
 
 from __future__ import annotations
@@ -63,7 +64,13 @@ class Views:
         Literal recursion over the definition: the empty order is the
         (-1)-surface; exactly two mutually non-adjacent faces form the
         0-surface; otherwise the view must be connected with every strict
-        neighborhood a (k-1)-surface, and k must equal the view's rank.
+        neighborhood a (k-1)-surface. The definition also asks k to be the
+        view's rank, which holds by the rank law for order joins: for h in
+        a view V, theta(h) & V is the join of alpha(h) & V and beta(h) & V,
+        and a longest chain of V through h is a longest chain below h, then
+        h, then a longest chain above it, so rank V = 1 + max over h of
+        rank(theta(h) & V). By induction a k-surface has rank k (the empty
+        order rank -1, two incomparable faces rank 0), so V has rank k.
         """
         got = self._surfaces.get(mask)
         if got is not None:
@@ -84,8 +91,7 @@ class Views:
                     if self.surface(theta[h] & mask) != k:
                         break
                 else:
-                    if self.rank(mask) == k + 1:
-                        result = k + 1
+                    result = k + 1
         self._surfaces[mask] = result
         return result
 

@@ -295,15 +295,15 @@ def condition_C_by_neighborhoods(k) -> bool:
     has, inside the border suborder, a strict neighborhood that is an
     (n-2)-surface.
 
-    Verifies by the recursion that ``k`` is an n-PCM of rank n >= 2
+    Verifies by the recursion that ``k`` is an n-PCM of rank n >= 1
     (DomainError otherwise) and computes the border from the definition;
     the package decides the same condition on the boundary complex.
     """
     n = k.dim
     poset = k.face_poset()
     views = Views(poset)
-    if n < 2 or views.pcm(poset.full_mask) != n:
-        raise DomainError("condition (C) requires an n-PCM input of rank >= 2")
+    if n < 1 or views.pcm(poset.full_mask) != n:
+        raise DomainError("condition (C) requires an n-PCM input of rank >= 1")
     bmask = views.border(poset.full_mask)
     theta = poset.theta_masks
     return all(views.surface(theta[h] & bmask) == n - 2 for h in iter_bits(bmask))

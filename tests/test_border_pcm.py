@@ -279,7 +279,9 @@ def test_condition_C_fails_exactly_at_apex():
 
 def test_condition_C_preconditions():
     with pytest.raises(DomainError):
-        check_condition_C(sphere(1))  # rank < 2
+        check_condition_C(sphere(0))  # rank < 1
+    with pytest.raises(DomainError):
+        check_condition_C(sphere(1))  # a 1-surface, not a PCM
     with pytest.raises(DomainError):
         check_condition_C(sphere(2))  # not a PCM
     with pytest.raises(DomainError):
@@ -290,10 +292,10 @@ def test_condition_C_preconditions():
 
 def _condition_C_three_ways(k) -> bool | None:
     """(C) on the boundary complex, (C) on the face poset and the recursive
-    smoothness verdict, which must agree, on a normal PCM of rank >= 2
+    smoothness verdict, which must agree, on a normal PCM of rank >= 1
     (None on any other input). Also checks that the boundary complex is the
     border of the face poset."""
-    if k.dim < 2 or not k.is_normal_pseudomanifold() or not len(k.boundary_complex()):
+    if k.dim < 1 or not k.is_normal_pseudomanifold() or not len(k.boundary_complex()):
         return None
     poset = k.face_poset()
     border_faces = {k.faces[h] for h in iter_bits(border_mask_of(poset))}
@@ -313,6 +315,8 @@ def test_condition_C_decides_smoothness_on_corpora(complexes, big_complexes):
         "annulus 4 * edge",
     ]
     assert sum(v is True for v in verdicts.values()) >= 8
+    # the 1-PCMs are in the three-way check too
+    assert verdicts["simplex 1"] is verdicts["path 3"] is True
 
 
 @settings(max_examples=200, deadline=None)

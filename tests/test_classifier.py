@@ -16,6 +16,7 @@ from posurf import (
     random_pure_complex,
     sphere,
 )
+from posurf.classify import VERDICT_FIELDS
 
 from .conftest import path_complex, two_triangles_shared_vertex
 
@@ -71,14 +72,31 @@ def test_fast_pinched_box():
 
 
 def test_fast_path_builds_no_face_poset(monkeypatch):
-    def refuse(self):
-        raise AssertionError("face poset built")
+    import posurf.classify as classify_mod
+    from posurf.surfaces import Views
+
+    def refuse(*args):
+        raise AssertionError("poset-level recognizer used")
 
     monkeypatch.setattr(SimplicialComplex, "face_poset", refuse)
+    monkeypatch.setattr(Views, "__init__", refuse)
+    monkeypatch.setattr(classify_mod, "classify_recursive", refuse)
     box = classify_fast(pinched_box(6))
     assert (box.category, box.rank, box.is_smooth_pcm, box.border_empty) == ("pcm", 3, False, False)
     rim = classify_fast(disk(6))
     assert (rim.category, rim.rank, rim.is_smooth_pcm, rim.border_empty) == ("pcm", 2, True, False)
+    low = {
+        "empty": ([], ("empty", -1)),
+        "1 point": ([[0]], ("pcm", 0)),
+        "2 points": ([[0], [1]], ("surface", 0)),
+        "3 points": ([[0], [1], [2]], ("neither", 0)),
+        "edge": ([[0, 1]], ("pcm", 1)),
+        "path": ([[0, 1], [1, 2]], ("pcm", 1)),
+        "cycle": ([[0, 1], [1, 2], [0, 2]], ("surface", 1)),
+    }
+    for name, (facets, want) in low.items():
+        c = classify_fast(SimplicialComplex(facets))
+        assert (c.category, c.rank) == want, name
 
 
 def test_fast_pinched_sphere():
@@ -87,10 +105,37 @@ def test_fast_pinched_sphere():
     assert c.border_empty is None  # not evaluated on the fast path
 
 
-def test_fast_low_rank_falls_back():
+def test_fast_low_rank_path():
     c = classify_fast(path_complex(2))
     assert c.path == "fast"
     assert c.category == "pcm" and c.rank == 1 and c.is_smooth_pcm
+
+
+def test_fast_matches_recursive_on_random_low_rank_complexes():
+    # seeded complexes of rank -1, 0 and 1 on at most 9 vertices; odd draws
+    # mix vertex and edge facets, so some are not pure
+    import random
+
+    rng = random.Random(20261018)
+    seen = set()
+    for i in range(1000):
+        n = rng.randint(1, 9)
+        sizes = (1, 2) if i % 2 else (rng.choice((1, 2)),)
+        facets = [
+            rng.sample(range(n), min(rng.choice(sizes), n)) for _ in range(rng.randint(0, 2 * n))
+        ]
+        k = SimplicialComplex(facets)
+        fast, recursive = classify_fast(k), classify_recursive(SimplicialComplex(facets))
+        expect = {name: getattr(recursive, name) for name in VERDICT_FIELDS}
+        if k.dim >= 1 and not k.is_normal_pseudomanifold():
+            expect["border_empty"] = None  # not evaluated on the fast path
+        assert {name: getattr(fast, name) for name in VERDICT_FIELDS} == expect, facets
+        seen.add((k.dim, k.is_pure(), recursive.category))
+    for dim, category in [(-1, "empty"), (0, "surface"), (0, "pcm"), (0, "neither")]:
+        assert (dim, True, category) in seen
+    for category in ("surface", "pcm", "neither"):
+        assert (1, True, category) in seen
+    assert (1, False, "neither") in seen
 
 
 def test_empty_complex_report():

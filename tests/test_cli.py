@@ -80,6 +80,25 @@ def test_classify_empty_input(capsys, monkeypatch):
     assert "pcm: yes" in out
 
 
+def test_classify_text_report(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["classify"], stdin_text=write_facets(annulus(6)), monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 0
+    assert out == (
+        "instance: 48 faces, by rank {'0': 12, '1': 24, '2': 12}\n"
+        "rank: 2\n"
+        "surface: no\n"
+        "pcm: yes\n"
+        "smooth pcm: yes\n"
+        "pseudomanifold: yes\n"
+        "normal pseudomanifold: yes\n"
+        "border empty: no\n"
+        "category: pcm\n"
+        "path: fast\n"
+    )
+
+
 def test_classify_pinched_sphere(capsys, monkeypatch):
     code, gen_out, _ = run_cli(["gen", "pinched-sphere"], capsys=capsys)
     code, out, _ = run_cli(

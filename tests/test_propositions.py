@@ -303,6 +303,26 @@ def test_border_of_simplicial_pcm_has_no_top_faces(complexes):
             assert p.face_ranks[h] < v.rank, name
 
 
+def test_simplicial_pcms_of_rank_1_and_2_are_smooth(complexes, big_complexes):
+    # A 1-PCM is a path, whose border is its two endpoints: a 0-surface. In
+    # a 2-PCM each border vertex has a path as its link, whose two ends are
+    # the only border edges through it, so the border is a union of cycles.
+    from posurf import random_pure_complex
+
+    draws = [
+        (f"random d2 #{i}", random_pure_complex(2, 5 + i % 6, 2 + i % 11, i)) for i in range(150)
+    ]
+    ranks = []
+    for name, k in complexes + big_complexes + draws:
+        p = k.face_poset()
+        v = is_pcm(p)
+        if v.holds and v.rank in (1, 2):
+            assert is_smooth_pcm(p).holds, name
+            ranks.append((v.rank, name.startswith("random")))
+    assert {(1, False), (2, False), (2, True)} <= set(ranks)
+    assert ranks.count((2, True)) >= 20
+
+
 def test_openings_in_simplicial_pcms_split_by_border(complexes):
     # opening(h) is a PCM exactly on border faces, a surface on interior
     for name, k in complexes:

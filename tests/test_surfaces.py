@@ -79,7 +79,16 @@ def test_random_posets_match_brute_oracles():
     import random
 
     from posurf import border, is_pcm
-    from posurf.poset import SuborderView
+    from posurf.poset import SuborderView, iter_bits
+    from posurf.surfaces import NOT_SURFACE, Views
+
+    def check_rank_law(p, mask):
+        # rank V = 1 + max rank(theta(h) & V), and a surface's rank is its view's
+        views = Views(p)
+        if mask:
+            sub = max(views.rank(p.theta_masks[h] & mask) for h in iter_bits(mask))
+            assert views.rank(mask) == 1 + sub, (p.cover_lists, mask)
+        assert views.surface(mask) in (NOT_SURFACE, views.rank(mask)), (p.cover_lists, mask)
 
     rng = random.Random(777)
     for _ in range(300):
@@ -89,6 +98,7 @@ def test_random_posets_match_brute_oracles():
             k = rng.randint(0, min(3, h))
             covers.append(sorted(rng.sample(range(h), k)) if h else [])
         p = Poset(covers)
+        check_rank_law(p, p.full_mask)
         sv = is_k_surface(p)
         assert (sv.is_surface, sv.rank) == oracles.brute_is_surface(covers), covers
         pv = is_pcm(p)
@@ -97,6 +107,7 @@ def test_random_posets_match_brute_oracles():
             assert border(p).border_faces == frozenset(oracles.brute_border(covers)), covers
         if n:
             view = SuborderView(p, rng.randrange(1 << n))
+            check_rank_law(p, view.mask)
             sv = is_k_surface(view)
             assert (sv.is_surface, sv.rank) == oracles.brute_is_surface(covers, view.members)
             pv = is_pcm(view)
@@ -116,16 +127,19 @@ def test_memo_switch_stores_nothing(monkeypatch):
     from posurf import border, is_pcm, is_smooth_pcm
 
     names = ("view_rank", "surface", "coherent", "pcm", "smooth")
+    recognizers = (is_k_surface, is_coherent, border, is_pcm, is_smooth_pcm)
     monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
     p = sphere(2).face_poset()
-    for recognizer in (is_k_surface, is_coherent, border, is_pcm, is_smooth_pcm):
+    for recognizer in recognizers:
         recognizer(p)
     assert is_k_surface(p).rank == 2
     assert [len(p.memo(name)) for name in names] == [0] * 5
     monkeypatch.delenv("POSURF_DISABLE_MEMO")
     q = sphere(2).face_poset()
+    for recognizer in recognizers:
+        recognizer(q)
     assert is_k_surface(q).rank == 2
-    assert q.memo("surface") and q.memo("view_rank")
+    assert all(len(q.memo(name)) > 0 for name in names)
 
 
 # ---------------------------------------------------------------------------
