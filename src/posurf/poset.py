@@ -270,7 +270,13 @@ def view_face_ranks(poset: Poset, mask: int) -> dict[int, int]:
 
 
 def view_rank(poset: Poset, mask: int) -> int:
-    """Rank of the suborder induced by ``mask``; -1 when empty."""
+    """Rank of the suborder induced by ``mask``; -1 when empty.
+
+    The full view's rank is the poset's, computed at construction; any
+    other view is re-ranked from its own faces.
+    """
+    if mask == poset.full_mask:
+        return poset.rank()
     return max(view_face_ranks(poset, mask).values(), default=-1)
 
 

@@ -214,14 +214,19 @@ def test_join_surface_law_exhaustive():
     """join is a surface exactly when both factors are, ranks adding as k+l+1.
 
     Exhaustive over all pairs of suborders (up to 6 faces each) of the
-    triangle boundary and of a 4-element mixed poset.
+    triangle boundary and of a 4-element mixed poset. The surface
+    recursion decides each strict neighborhood by this law, so the join
+    and its factors are also decided by the literal theta recursion of
+    the brute-force oracle, which does not assume it.
     """
     left = sphere(1).face_poset()
     right = Poset([[], [0], [], []])  # a chain of 2 plus two isolated points
     left_subs = [SuborderView(left, m).to_poset() for m in range(1 << len(left))]
     right_subs = [SuborderView(right, m).to_poset() for m in range(1 << len(right))]
+    brute = {id(q): oracles.brute_is_surface(q.cover_lists) for q in left_subs + right_subs}
     for sl in left_subs:
         vl = is_k_surface(sl)
+        assert (vl.is_surface, vl.rank) == brute[id(sl)]
         for sr in left_subs + right_subs:
             vr = is_k_surface(sr)
             vj = is_k_surface(join(sl, sr))
@@ -229,6 +234,11 @@ def test_join_surface_law_exhaustive():
             assert vj.is_surface == both
             if both:
                 assert vj.rank == vl.rank + vr.rank + 1
+            (ok_l, k_l), (ok_r, k_r) = brute[id(sl)], brute[id(sr)]
+            ok_j, k_j = oracles.brute_is_surface(join(sl, sr).cover_lists)
+            assert ok_j == (ok_l and ok_r)
+            if ok_j:
+                assert k_j == k_l + k_r + 1
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,12 @@ def test_neighborhoods_of_surfaces_are_surfaces(complexes):
 
 
 def test_random_posets_match_brute_oracles():
-    # seeded sweep over random cover DAGs: surface/PCM verdicts and borders
-    # against the naive re-derivations, on full posets and random views
+    # seeded sweep over random cover DAGs: surface/PCM/smooth PCM verdicts
+    # and borders against the naive re-derivations, on full posets and
+    # random views
     import random
 
-    from posurf import border, is_pcm
+    from posurf import border, is_pcm, is_smooth_pcm
     from posurf.poset import SuborderView, iter_bits
     from posurf.surfaces import NOT_SURFACE, Views
 
@@ -89,6 +90,25 @@ def test_random_posets_match_brute_oracles():
             sub = max(views.rank(p.theta_masks[h] & mask) for h in iter_bits(mask))
             assert views.rank(mask) == 1 + sub, (p.cover_lists, mask)
         assert views.surface(mask) in (NOT_SURFACE, views.rank(mask)), (p.cover_lists, mask)
+
+    def check_smooth_and_border(p, mask):
+        # the smooth test reads the PCM verdict, and the border the PCM walk
+        # stored; both against definitions that share neither
+        covers = p.cover_lists
+        members = list(iter_bits(mask))
+        try:
+            expect = oracles.brute_is_smooth_pcm(covers, members)
+        except RuntimeError:  # a border above the oracle's max_border
+            pass
+        else:
+            got = is_smooth_pcm(SuborderView(p, mask))
+            assert (got.holds, got.rank) == expect, (covers, mask)
+        if mask:
+            views = Views(p)
+            views.pcm(mask)
+            fresh = Views(Poset(covers)).border(mask)
+            assert views.border(mask) == fresh, (covers, mask)
+            assert set(iter_bits(fresh)) == oracles.brute_border(covers, members), (covers, mask)
 
     rng = random.Random(777)
     for _ in range(300):
@@ -105,6 +125,7 @@ def test_random_posets_match_brute_oracles():
         assert (pv.holds, pv.rank) == oracles.brute_is_pcm(covers), covers
         if n and p.rank() >= 0:
             assert border(p).border_faces == frozenset(oracles.brute_border(covers)), covers
+        check_smooth_and_border(p, p.full_mask)
         if n:
             view = SuborderView(p, rng.randrange(1 << n))
             check_rank_law(p, view.mask)
@@ -112,6 +133,7 @@ def test_random_posets_match_brute_oracles():
             assert (sv.is_surface, sv.rank) == oracles.brute_is_surface(covers, view.members)
             pv = is_pcm(view)
             assert (pv.holds, pv.rank) == oracles.brute_is_pcm(covers, view.members)
+            check_smooth_and_border(p, view.mask)
 
 
 def test_memoized_vs_unmemoized_agree(posets, complexes, monkeypatch):
@@ -126,14 +148,14 @@ def test_memoized_vs_unmemoized_agree(posets, complexes, monkeypatch):
 def test_memo_switch_stores_nothing(monkeypatch):
     from posurf import border, is_pcm, is_smooth_pcm
 
-    names = ("view_rank", "surface", "coherent", "pcm", "smooth")
+    names = ("view_rank", "connected", "surface", "coherent", "border", "pcm", "smooth")
     recognizers = (is_k_surface, is_coherent, border, is_pcm, is_smooth_pcm)
     monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
     p = sphere(2).face_poset()
     for recognizer in recognizers:
         recognizer(p)
     assert is_k_surface(p).rank == 2
-    assert [len(p.memo(name)) for name in names] == [0] * 5
+    assert [len(p.memo(name)) for name in names] == [0] * 7
     monkeypatch.delenv("POSURF_DISABLE_MEMO")
     q = sphere(2).face_poset()
     for recognizer in recognizers:
