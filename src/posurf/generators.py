@@ -3,12 +3,13 @@ random family. The same spec always yields the identical facet list."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .poset import Poset
-from .simplicial import SimplicialComplex, simplicial_join
+from .simplicial import MAX_FACES, SimplicialComplex, simplicial_join
 
 __all__ = [
     "GeneratorSpec",
@@ -132,12 +133,30 @@ def khalimsky_block(w: int, h: int) -> Poset:
 def random_pure_complex(
     dim: int, n_vertices: int, n_facets: int, seed: int = 0, glue_bias: float = 0.9
 ) -> SimplicialComplex:
-    """Seeded pure complex: fixed-dimension facets over a small vertex pool.
+    """Seeded pure complex: fixed-dimension facets over a vertex pool.
 
     Growth is biased toward gluing a new facet along a ridge of an existing
     one, which makes pseudomanifold-like instances common enough to exercise
-    the non-vacuous side of the classifier equivalence. May return fewer
-    facets than requested when the pool saturates.
+    the non-vacuous side of the classifier equivalence. Each attempt draws,
+    with probability ``glue_bias``, a ridge under exactly one facet and a
+    vertex that extends it without putting any ridge under three facets;
+    otherwise it draws ``dim + 1`` vertices of the pool.
+
+    An attempt costs time in the facets it touches, not in the whole draw
+    or the pool. Ridge counts are updated as facets are added, and the
+    sorted boundary ridges are rebuilt only after an add. A vertex outside
+    every facet always extends a ridge, since its side ridges are new, so
+    only the used vertices are checked, and the pick is an index into the
+    pool minus the ridge and the used vertices that fail: the same draw as
+    a choice among the candidates in order. The loop stops once
+    ``min(n_facets, C(n_vertices, dim + 1))`` facets are drawn (a full pool
+    takes no more) or after ``50 * n_facets`` attempts, so it may return
+    fewer facets than asked. The facets are exactly those drawn by
+    recounting every ridge on each attempt
+    (``tests/oracles.py::random_pure_by_recount``).
+
+    Raises DomainError before drawing when that many facets could have more
+    than ``MAX_FACES`` faces together.
     """
     if dim < 1:
         raise DomainError("random-pure needs dim >= 1")
@@ -145,42 +164,64 @@ def random_pure_complex(
         raise DomainError(f"random-pure needs at least dim + 2 = {dim + 2} vertices")
     if n_facets < 1:
         raise DomainError("random-pure needs at least one facet")
+    target = min(n_facets, math.comb(n_vertices, dim + 1))
+    bound = target * (2 ** (dim + 1) - 1)
+    if bound > MAX_FACES:
+        raise DomainError(
+            f"{target} random facet(s) of dimension {dim} may have up to "
+            f"{bound} faces, above the limit of {MAX_FACES}"
+        )
     rng = random.Random(seed)
     pool = range(n_vertices)
-    facets = {tuple(sorted(rng.sample(pool, dim + 1)))}
+    facets: set[tuple[int, ...]] = set()
+    ridge_counts: dict[tuple[int, ...], int] = {}
+    used: set[int] = set()  # the vertices of the facets
+    boundary = None  # sorted ridges under exactly one facet, until the next add
+
+    def add(f: tuple[int, ...]) -> None:
+        nonlocal boundary
+        if f in facets:
+            return
+        facets.add(f)
+        for i in range(len(f)):
+            r = f[:i] + f[i + 1 :]
+            ridge_counts[r] = ridge_counts.get(r, 0) + 1
+        used.update(f)
+        boundary = None
+
+    add(tuple(sorted(rng.sample(pool, dim + 1))))
     attempts = 0
-    while len(facets) < n_facets and attempts < 50 * n_facets:
+    while len(facets) < target and attempts < 50 * n_facets:
         attempts += 1
         if rng.random() < glue_bias:
             # glue onto a ridge with exactly one coface, and only in ways
             # that keep every ridge under two cofaces: growth then looks
             # manifold-like and can close up into a pseudomanifold
-            ridge_counts: dict[tuple, int] = {}
-            for f in sorted(facets):
-                for v in f:
-                    r = tuple(x for x in f if x != v)
-                    ridge_counts[r] = ridge_counts.get(r, 0) + 1
-            boundary = [r for r, c in sorted(ridge_counts.items()) if c == 1]
+            if boundary is None:
+                boundary = sorted(r for r, c in ridge_counts.items() if c == 1)
             if not boundary:
                 continue
-            ridge = set(rng.choice(boundary))
-            candidates = []
-            for v in pool:
-                if v in ridge:
-                    continue
-                cand = tuple(sorted(ridge | {v}))
-                if cand in facets:
-                    continue
-                side_ridges = [tuple(x for x in cand if x != u) for u in cand]
-                side_ridges = [r for r in side_ridges if set(r) != ridge]
-                if all(ridge_counts.get(r, 0) <= 1 for r in side_ridges):
-                    candidates.append(cand)
-            if not candidates:
+            ridge = rng.choice(boundary)
+            blocked = set(ridge)
+            for v in used - blocked:
+                cand = tuple(sorted((*ridge, v)))
+                if cand in facets or any(
+                    ridge_counts.get(cand[:i] + cand[i + 1 :], 0) > 1
+                    for i in range(dim + 1)
+                    if cand[i] != v
+                ):
+                    blocked.add(v)
+            if len(blocked) == n_vertices:
                 continue
-            new = rng.choice(candidates)
+            # the pick-th vertex of the pool outside ``blocked``
+            pick = rng.randrange(n_vertices - len(blocked))
+            for b in sorted(blocked):
+                if b > pick:
+                    break
+                pick += 1
+            add(tuple(sorted((*ridge, pick))))
         else:
-            new = tuple(sorted(rng.sample(pool, dim + 1)))
-        facets.add(new)
+            add(tuple(sorted(rng.sample(pool, dim + 1))))
     return SimplicialComplex(sorted(facets))
 
 

@@ -7,10 +7,12 @@ package internals it is used to check.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from posurf.errors import DomainError
 from posurf.poset import Poset, as_view, iter_bits
+from posurf.simplicial import SimplicialComplex
 from posurf.surfaces import Views
 
 
@@ -494,6 +496,63 @@ def repair_decides_connected(k) -> bool:
         if fig7_path_repair(k, base, f) is None:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the random-pure generator by recounting every ridge on each attempt
+
+
+def random_pure_by_recount(
+    dim: int, n_vertices: int, n_facets: int, seed: int = 0, glue_bias: float = 0.9
+) -> SimplicialComplex:
+    """Reference for ``random_pure_complex``: the same draws, computed the
+    quadratic way. Each glue attempt recounts and re-sorts every ridge of
+    every facet and scans the whole vertex pool for candidates, and the loop
+    runs until the facets are drawn or 50 * n_facets attempts are spent.
+    """
+    if dim < 1:
+        raise DomainError("random-pure needs dim >= 1")
+    if n_vertices < dim + 2:
+        raise DomainError(f"random-pure needs at least dim + 2 = {dim + 2} vertices")
+    if n_facets < 1:
+        raise DomainError("random-pure needs at least one facet")
+    rng = random.Random(seed)
+    pool = range(n_vertices)
+    facets = {tuple(sorted(rng.sample(pool, dim + 1)))}
+    attempts = 0
+    while len(facets) < n_facets and attempts < 50 * n_facets:
+        attempts += 1
+        if rng.random() < glue_bias:
+            # glue onto a ridge with exactly one coface, and only in ways
+            # that keep every ridge under two cofaces: growth then looks
+            # manifold-like and can close up into a pseudomanifold
+            ridge_counts: dict[tuple, int] = {}
+            for f in sorted(facets):
+                for v in f:
+                    r = tuple(x for x in f if x != v)
+                    ridge_counts[r] = ridge_counts.get(r, 0) + 1
+            boundary = [r for r, c in sorted(ridge_counts.items()) if c == 1]
+            if not boundary:
+                continue
+            ridge = set(rng.choice(boundary))
+            candidates = []
+            for v in pool:
+                if v in ridge:
+                    continue
+                cand = tuple(sorted(ridge | {v}))
+                if cand in facets:
+                    continue
+                side_ridges = [tuple(x for x in cand if x != u) for u in cand]
+                side_ridges = [r for r in side_ridges if set(r) != ridge]
+                if all(ridge_counts.get(r, 0) <= 1 for r in side_ridges):
+                    candidates.append(cand)
+            if not candidates:
+                continue
+            new = rng.choice(candidates)
+        else:
+            new = tuple(sorted(rng.sample(pool, dim + 1)))
+        facets.add(new)
+    return SimplicialComplex(sorted(facets))
 
 
 # ---------------------------------------------------------------------------

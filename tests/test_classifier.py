@@ -217,6 +217,11 @@ def test_random_pure_complex_deterministic():
     assert a == b
     c = random_pure_complex(2, 8, 6, seed=14)
     assert a.is_pure() and c.is_pure()
+    # a literal draw, so that a change made to the generator and to its
+    # reference in tests/oracles.py at once still shows
+    assert sorted(tuple(sorted(f)) for f in a.facets) == [
+        (0, 3, 4), (1, 2, 5), (1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 5),
+    ]
 
 
 def test_random_pure_complex_bounds():
@@ -226,3 +231,9 @@ def test_random_pure_complex_bounds():
         random_pure_complex(2, 3, 3)
     with pytest.raises(DomainError):
         random_pure_complex(2, 8, 0)
+    # refused before drawing: 18,725 triangles of 7 faces each exceed
+    # MAX_FACES = 2^17, and so does a full pool of C(50, 3) = 19,600
+    with pytest.raises(DomainError, match="above the limit of"):
+        random_pure_complex(2, 10**6, 18725)
+    with pytest.raises(DomainError, match="above the limit of"):
+        random_pure_complex(2, 50, 10**9)

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from posurf import SimplicialComplex, annulus, classify_both, read_facets, sphere, write_facets
 from posurf.cli import main
@@ -219,6 +220,20 @@ def test_gen_deterministic(capsys):
     b = run_cli(["gen", "random-pure", "2", "8", "6", "42"], capsys=capsys)[1]
     c = run_cli(["gen", "random-pure", "2", "8", "6", "--seed", "42"], capsys=capsys)[1]
     assert a == b == c
+
+
+def test_gen_random_pure_fails_fast_or_draws_fast(capsys):
+    # 100,000 triangles are over the face budget: refused before drawing
+    start = time.perf_counter()
+    code, out, err = run_cli(["gen", "random-pure", "2", "100000", "100000"], capsys=capsys)
+    assert code == 1 and out == "" and "above the limit of" in err
+    # a full pool of 8 vertices holds C(8, 3) = 56 triangles, and the draw
+    # stops there; a huge pool is never scanned
+    code, out, _ = run_cli(["gen", "random-pure", "2", "8", "1000000"], capsys=capsys)
+    assert code == 0 and len(out.splitlines()) == 56
+    code, out, _ = run_cli(["gen", "random-pure", "2", "1000000000", "3"], capsys=capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    assert time.perf_counter() - start < 1
 
 
 def test_memo_disable_env_var(capsys, monkeypatch):

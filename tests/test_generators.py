@@ -1,5 +1,7 @@
 """Generators: determinism, parameter bounds, intended classifications."""
 
+import math
+
 import pytest
 
 from posurf import (
@@ -16,9 +18,12 @@ from posurf import (
     khalimsky_block,
     pinched_box,
     pinched_sphere,
+    random_pure_complex,
     sphere,
     write_facets,
 )
+
+from . import oracles
 
 
 def test_registry_names():
@@ -124,3 +129,25 @@ def test_pinched_box_verdicts():
     assert cls.rank == 3
     assert cls.is_pcm and not cls.is_smooth_pcm
     assert cls.is_normal_pseudomanifold and not cls.border_empty
+
+
+def _random_pure_cases():
+    for dim in range(1, 5):
+        for n_vertices in (dim + 2, dim + 3, dim + 5, 20, 40):
+            for n_facets in (1, 4, 9, 16):
+                for bias in (0, 0.5, 0.9, 1):
+                    for seed in (n_vertices + n_facets, 1000 + 7 * dim):
+                        yield dim, n_vertices, n_facets, seed, bias
+    # saturated pools: more facets asked than there are (dim+1)-subsets; the
+    # reference spins through all 50 * n_facets attempts, so the ask stays small
+    for dim, n_vertices in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 6)):
+        for bias in (0, 0.5, 0.9, 1):
+            for seed in range(2):
+                yield dim, n_vertices, math.comb(n_vertices, dim + 1) + 3, seed, bias
+
+
+def test_random_pure_draws_the_facets_of_the_recount_reference():
+    for case in _random_pure_cases():
+        expected = oracles.random_pure_by_recount(*case).facets
+        assert random_pure_complex(*case).facets == expected, case
+
