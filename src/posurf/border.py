@@ -4,8 +4,8 @@ The border of a rank-n suborder collects the faces whose strict
 neighborhood fails the (n-1)-surface test; the interior is the rest.
 These are thin wrappers over the one recursion of
 :class:`posurf.surfaces.Views`, which decides PCM and smooth PCM alike and
-shares its memos with the surface recognizer. Condition (C) is decided on
-a simplicial complex's boundary complex instead, with no face poset.
+shares its memos with the surface recognizer. Condition (C) is decided
+from a simplicial complex's boundary ridges instead, with no face poset.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .poset import Poset, SuborderView, as_view, component_masks, iter_bits
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, _ridge_index, _stars_connected
 from .surfaces import NOT_PCM, SurfaceVerdict, Views
 
 __all__ = [
@@ -115,7 +115,8 @@ def check_condition_C(complex) -> bool:
        (n-1)-pseudomanifold, for n-1 >= 2 an (n-1)-surface by the normal
        pseudomanifold characterization, and for n-1 = 1 a cycle. For
        n = 1, B is a path's two endpoints and (C) holds trivially, so
-       every 1-PCM is smooth.
+       every 1-PCM is smooth. B is read from its facets, the boundary
+       ridges, and is never closed.
 
     The input must be a normal pseudomanifold of dimension n >= 1 with at
     least one boundary ridge, which is what an n-PCM is among simplicial
@@ -125,7 +126,7 @@ def check_condition_C(complex) -> bool:
         raise DomainError("condition (C) applies to simplicial complexes")
     if complex.dim < 1:
         raise DomainError("condition (C) applies to complexes of rank >= 1")
-    boundary = complex.boundary_complex()
-    if not (complex.is_normal_pseudomanifold() and len(boundary)):
+    boundary = complex.boundary_ridges()
+    if not (complex.is_normal_pseudomanifold() and boundary):
         raise DomainError("condition (C) requires an n-PCM input")
-    return boundary._stars_connected()
+    return _stars_connected(_ridge_index(boundary))

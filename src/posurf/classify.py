@@ -10,8 +10,8 @@ Normality is decided from star connectivity over the complex's ridge
 index (the facets over each face of codimension >= 2 must be connected
 through ridges over that face), which for a pseudomanifold is equivalent
 to every such link being a pseudomanifold; no link complex is built.
-Smoothness of a PCM is condition (C) on its boundary complex, which
-decides it exactly; the fast path builds no face poset at any rank.
+The border and condition (C), which decides smoothness exactly, are read
+from the boundary ridges; the fast path builds no poset and no complex.
 ``cross_check`` runs both paths over a corpus and fails loudly on any
 disagreement.
 """
@@ -134,11 +134,11 @@ def classify_fast(k) -> Classification:
 
     For rank >= 1: not a normal pseudomanifold means neither surface nor
     PCM; a normal pseudomanifold is a surface when its border is empty
-    (every ridge under two top faces) and a PCM otherwise. A PCM is smooth
-    exactly when condition (C) holds on its boundary complex, the closure
-    of the ridges under one top face. At rank 1 this reads: a cycle is a
-    surface and a path a smooth PCM. Ranks -1 and 0 are decided by the
-    vertex count: none or two make a surface, none or one a smooth PCM.
+    (no boundary ridge, that is no ridge under one top face) and a PCM
+    otherwise. A PCM is smooth exactly when condition (C) holds on its
+    boundary ridges. At rank 1 this reads: a cycle is a surface and a path
+    a smooth PCM. Ranks -1 and 0 are decided by the vertex count: none or
+    two make a surface, none or one a smooth PCM. No complex is built.
     """
     if not isinstance(k, SimplicialComplex):
         raise DomainError("fast classification requires a simplicial complex")
@@ -150,9 +150,7 @@ def classify_fast(k) -> Classification:
         v = len(k.vertices)
         surface, pcm, smooth, border_empty = v in (0, 2), v <= 1, v <= 1, True
     else:
-        border_empty = None
-        if normal:
-            border_empty = len(_timed(timings, "border", k.boundary_complex)) == 0
+        border_empty = not _timed(timings, "border", k.boundary_ridges) if normal else None
         surface = normal and border_empty
         pcm = normal and not border_empty
         smooth = pcm and _timed(timings, "condition_C", lambda: check_condition_C(k))

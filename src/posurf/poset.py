@@ -20,6 +20,7 @@ correct value, so concurrent readers cannot observe an inconsistency.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -66,9 +67,10 @@ class Poset:
     """
 
     def __init__(self, covers: Sequence[Iterable[int]], labels: Sequence[str | None] | None = None):
-        cover_lists = []
-        for cs in covers:
-            cover_lists.append(tuple(sorted({int(c) for c in cs})))
+        try:
+            cover_lists = [tuple(sorted({operator.index(c) for c in cs})) for cs in covers]
+        except TypeError:
+            raise DomainError("covers must list integer face ids") from None
         n = len(cover_lists)
         if n > MAX_POSET_FACES:
             raise DomainError(f"a poset of {n} faces is above the limit of {MAX_POSET_FACES}")
@@ -432,6 +434,8 @@ def from_hasse(text: str) -> Poset:
         if toks[0] == "rank":
             if len(toks) != 2:
                 raise ParseError("malformed rank line", no)
+            if declared is not None:
+                raise ParseError("duplicate rank line", no)
             try:
                 declared = int(toks[1])
             except ValueError:

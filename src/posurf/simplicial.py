@@ -89,7 +89,6 @@ class SimplicialComplex:
         self._ridges: dict[frozenset, list[int]] | None = None
         self._pseudomanifold: bool | None = None
         self._normal: bool | None = None
-        self._boundary: SimplicialComplex | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -181,18 +180,17 @@ class SimplicialComplex:
         return all(len(f) - 1 == self._dim for f in self._facets)
 
     def _ridge_index(self) -> dict[frozenset, list[int]]:
-        """Each ridge under a top facet -> indices into ``facets`` of its top cofaces.
-
-        Built in one pass over the facets and cached on the complex.
-        """
+        """Each ridge under a top facet -> positions of its top cofaces among
+        the top facets; empty below dimension 1. Cached on the complex."""
         if self._ridges is None:
-            ridges: dict[frozenset, list[int]] = {}
-            for i, f in enumerate(self._facets):
-                if len(f) - 1 == self._dim and len(f) > 1:
-                    for v in f:
-                        ridges.setdefault(f - {v}, []).append(i)
-            self._ridges = ridges
+            top = [f for f in self._facets if len(f) - 1 == self._dim > 0]
+            self._ridges = _ridge_index(top)
         return self._ridges
+
+    def boundary_ridges(self) -> list[frozenset]:
+        """The ridges under exactly one top facet; on a simplicial PCM, the
+        facets of its border, which is their closure (not built here)."""
+        return [r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1]
 
     def is_codim1_connected(self) -> bool:
         """Facet dual-graph connectivity (facets adjacent via a shared ridge).
@@ -240,37 +238,35 @@ class SimplicialComplex:
         facets over f joined by ridges over f. Cached on the complex.
         """
         if self._normal is None:
-            self._normal = self.is_pseudomanifold() and self._stars_connected()
+            self._normal = self.is_pseudomanifold() and _stars_connected(self._ridge_index())
         return self._normal
 
-    def _stars_connected(self) -> bool:
-        """Over each face of codimension >= 2 under a ridge, the facets are
-        connected through ridges: one union-find per face, from the ridge index."""
-        n = self._dim
-        stars: dict[frozenset, dict[int, int]] = {}
-        for ridge, cofacets in self._ridge_index().items():
-            vs = tuple(ridge)
-            # the faces of codimension >= 2 under this ridge: 1 to n-1 vertices
-            for size in range(1, n):
-                for sub in combinations(vs, size):
-                    parent = stars.setdefault(frozenset(sub), {})
-                    for i in cofacets:
-                        parent.setdefault(i, i)
-                    for other in cofacets[1:]:
-                        _union(parent, cofacets[0], other)
-        return all(sum(1 for i, p in parent.items() if i == p) == 1 for parent in stars.values())
 
-    def boundary_complex(self) -> "SimplicialComplex":
-        """Closure of the ridges that lie under exactly one top facet; cached.
+def _ridge_index(facets: list[frozenset]) -> dict[frozenset, list[int]]:
+    """Each ridge of a family of same-size facets -> positions of the facets
+    over it, built in one pass."""
+    ridges: dict[frozenset, list[int]] = {}
+    for i, f in enumerate(facets):
+        for v in f:
+            ridges.setdefault(f - {v}, []).append(i)
+    return ridges
 
-        On a simplicial PCM this is its border: the faces whose strict
-        neighborhood in the face poset is not a surface.
-        """
-        if self._boundary is None:
-            self._boundary = SimplicialComplex(
-                r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1
-            )
-        return self._boundary
+
+def _stars_connected(ridges: dict[frozenset, list[int]]) -> bool:
+    """Over each nonempty face strictly under a ridge (of codimension >= 2
+    in the facets' closure), the facets are connected through the ridges
+    over it: one union-find per face, from a ridge index of ``_ridge_index``."""
+    stars: dict[frozenset, dict[int, int]] = {}
+    for ridge, cofacets in ridges.items():
+        # the faces of codimension >= 2 under this ridge: 1 to |ridge| - 1 vertices
+        for size in range(1, len(ridge)):
+            for sub in combinations(ridge, size):
+                parent = stars.setdefault(frozenset(sub), {})
+                for i in cofacets:
+                    parent.setdefault(i, i)
+                for other in cofacets[1:]:
+                    _union(parent, cofacets[0], other)
+    return all(sum(1 for i, p in parent.items() if i == p) == 1 for parent in stars.values())
 
 
 def _find(parent, x: int) -> int:

@@ -7,6 +7,7 @@ from posurf import (
     DomainError,
     PcmVerdict,
     Poset,
+    SimplicialComplex,
     SuborderView,
     annulus,
     border,
@@ -291,15 +292,16 @@ def test_condition_C_preconditions():
 
 
 def _condition_C_three_ways(k) -> bool | None:
-    """(C) on the boundary complex, (C) on the face poset and the recursive
+    """(C) on the boundary ridges, (C) on the face poset and the recursive
     smoothness verdict, which must agree, on a normal PCM of rank >= 1
-    (None on any other input). Also checks that the boundary complex is the
-    border of the face poset."""
-    if k.dim < 1 or not k.is_normal_pseudomanifold() or not len(k.boundary_complex()):
+    (None on any other input). Also checks that the closure of the boundary
+    ridges is the border of the face poset."""
+    boundary = SimplicialComplex(k.boundary_ridges())
+    if k.dim < 1 or not k.is_normal_pseudomanifold() or not len(boundary):
         return None
     poset = k.face_poset()
     border_faces = {k.faces[h] for h in iter_bits(border_mask_of(poset))}
-    assert set(k.boundary_complex().faces) == border_faces
+    assert set(boundary.faces) == border_faces
     smooth = check_condition_C(k)
     assert smooth == oracles.condition_C_by_neighborhoods(k) == is_smooth_pcm(poset).holds
     return smooth

@@ -87,16 +87,7 @@ def test_fast_path_builds_no_face_poset(monkeypatch):
     import posurf.classify as classify_mod
     from posurf.surfaces import Views
 
-    def refuse(*args):
-        raise AssertionError("poset-level recognizer used")
-
-    monkeypatch.setattr(SimplicialComplex, "face_poset", refuse)
-    monkeypatch.setattr(Views, "__init__", refuse)
-    monkeypatch.setattr(classify_mod, "classify_recursive", refuse)
-    box = classify_fast(pinched_box(6))
-    assert (box.category, box.rank, box.is_smooth_pcm, box.border_empty) == ("pcm", 3, False, False)
-    rim = classify_fast(disk(6))
-    assert (rim.category, rim.rank, rim.is_smooth_pcm, rim.border_empty) == ("pcm", 2, True, False)
+    box_input, rim_input = pinched_box(6), disk(6)
     low = {
         "empty": ([], ("empty", -1)),
         "1 point": ([[0]], ("pcm", 0)),
@@ -106,8 +97,24 @@ def test_fast_path_builds_no_face_poset(monkeypatch):
         "path": ([[0, 1], [1, 2]], ("pcm", 1)),
         "cycle": ([[0, 1], [1, 2], [0, 2]], ("surface", 1)),
     }
-    for name, (facets, want) in low.items():
-        c = classify_fast(SimplicialComplex(facets))
+    low_complexes = {name: SimplicialComplex(facets) for name, (facets, _) in low.items()}
+
+    def refuse(*args):
+        raise AssertionError("poset-level recognizer used")
+
+    def refuse_complex(*args):
+        raise AssertionError("complex built on the fast path")
+
+    monkeypatch.setattr(SimplicialComplex, "face_poset", refuse)
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse_complex)
+    monkeypatch.setattr(Views, "__init__", refuse)
+    monkeypatch.setattr(classify_mod, "classify_recursive", refuse)
+    box = classify_fast(box_input)
+    assert (box.category, box.rank, box.is_smooth_pcm, box.border_empty) == ("pcm", 3, False, False)
+    rim = classify_fast(rim_input)
+    assert (rim.category, rim.rank, rim.is_smooth_pcm, rim.border_empty) == ("pcm", 2, True, False)
+    for name, (_, want) in low.items():
+        c = classify_fast(low_complexes[name])
         assert (c.category, c.rank) == want, name
 
 

@@ -45,6 +45,14 @@ def test_rejects_cycles():
         Poset([[3]])
 
 
+def test_rejects_non_integer_cover_ids():
+    # int() would read 0.7 and "0" as face 0
+    with pytest.raises(DomainError, match="integer face ids"):
+        Poset([[], [0.7]])
+    with pytest.raises(DomainError, match="integer face ids"):
+        Poset([[], ["0"]])
+
+
 def test_poset_budget_boundary(monkeypatch):
     monkeypatch.setattr(poset_module, "MAX_POSET_FACES", 3)
     assert len(Poset([[], [0], [0]])) == 3
@@ -334,6 +342,9 @@ def test_hasse_parse_errors():
         from_hasse("f 0 :\nf 0 :\n")  # duplicate id
     with pytest.raises(ParseError):
         from_hasse("f 0 : 1\nf 1 : 0\n")  # cyclic
+    with pytest.raises(ParseError, match="duplicate rank line") as e:
+        from_hasse("rank 5\nrank 1\nf 0 :\nf 1 : 0\n")  # only the last rank holds
+    assert "line 2" in str(e.value)
 
 
 def test_hasse_comments_and_blanks():

@@ -348,7 +348,7 @@ def test_icosahedron_structure():
     k = icosahedron()
     assert k.f_vector() == (12, 30, 20)
     # every ridge under exactly two triangles
-    assert k.is_pseudomanifold() and not len(k.boundary_complex())
+    assert k.is_pseudomanifold() and not len(SimplicialComplex(k.boundary_ridges()))
     assert k.is_normal_pseudomanifold()
     v = is_k_surface(k.face_poset())
     assert v.is_surface and v.rank == 2
@@ -361,7 +361,7 @@ def test_pinched_sphere_structure():
     k = pinched_sphere()
     assert k.f_vector() == (11, 30, 20)
     # every ridge under exactly two triangles
-    assert k.is_pseudomanifold() and not len(k.boundary_complex())
+    assert k.is_pseudomanifold() and not len(SimplicialComplex(k.boundary_ridges()))
 
 
 # ---------------------------------------------------------------------------
