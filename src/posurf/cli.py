@@ -44,9 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str | None) -> str:
-    if path in (None, "-"):
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path in (None, "-"):
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path or '-'} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _load(args):
@@ -268,13 +271,7 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"posurf: cross-check failure: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, DomainError) as exc:
-        print(f"posurf: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"posurf: error: {exc}", file=sys.stderr)
-        return 1
-    except PosurfError as exc:
+    except (PosurfError, OSError) as exc:
         print(f"posurf: error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .poset import Poset
-from .simplicial import MAX_FACES, SimplicialComplex, simplicial_join
+from .poset import MAX_POSET_FACES, Poset
+from .simplicial import MAX_FACES, SimplicialComplex, refuse_faces, simplicial_join
 
 __all__ = [
     "GeneratorSpec",
@@ -36,10 +36,22 @@ class GeneratorSpec:
     seed: int | None = None
 
 
+def _check_faces(what: str, n_facets: int, size: int) -> None:
+    """Refuse, before any facet is built, ``n_facets`` facets of ``size``
+    vertices whose closure bound, n_facets * (2^size - 1), is above
+    MAX_FACES: the bound the constructor would refuse them by. A size
+    above 65 counts as 65, which keeps the bound above 2^64, where
+    ``refuse_faces`` names it only by a power of two below it."""
+    bound = n_facets * ((1 << min(size, 65)) - 1)
+    if bound > MAX_FACES:
+        refuse_faces(what, bound)
+
+
 def solid_simplex(n: int) -> SimplicialComplex:
     """The full n-simplex on vertices 0..n."""
     if n < 0:
         raise DomainError("simplex needs n >= 0")
+    _check_faces(f"simplex {n}", 1, n + 1)
     return SimplicialComplex([range(n + 1)])
 
 
@@ -47,6 +59,7 @@ def sphere(n: int) -> SimplicialComplex:
     """Boundary of the (n+1)-simplex: the minimal triangulated n-sphere."""
     if n < 0:
         raise DomainError("sphere needs n >= 0")
+    _check_faces(f"sphere {n}", n + 2, n + 1)
     verts = list(range(n + 2))
     return SimplicialComplex([verts[:i] + verts[i + 1 :] for i in range(len(verts))])
 
@@ -55,6 +68,7 @@ def disk(m: int) -> SimplicialComplex:
     """Triangulated disk: the cone over an m-cycle (apex is vertex m)."""
     if m < 3:
         raise DomainError("disk needs a cycle length m >= 3")
+    _check_faces(f"disk {m}", m, 3)
     return SimplicialComplex([(i, (i + 1) % m, m) for i in range(m)])
 
 
@@ -62,6 +76,7 @@ def annulus(m: int) -> SimplicialComplex:
     """Triangulated annulus: two m-cycles (0..m-1 and m..2m-1), 2m triangles."""
     if m < 4:
         raise DomainError("annulus needs a cycle length m >= 4")
+    _check_faces(f"annulus {m}", 2 * m, 3)
     facets = []
     for i in range(m):
         j = (i + 1) % m
@@ -101,6 +116,7 @@ def pinched_box(m: int) -> SimplicialComplex:
     """Cone over the triangulated annulus (apex is vertex 2m)."""
     if m < 4:
         raise DomainError("pinched-box needs a cycle length m >= 4")
+    _check_faces(f"pinched-box {m}", 2 * m, 4)
     apex = SimplicialComplex([[2 * m]])
     return simplicial_join(annulus(m), apex)
 
@@ -111,10 +127,15 @@ def khalimsky_block(w: int, h: int) -> Poset:
     Cells are grid points (x, y) with 0 <= x <= 2w and 0 <= y <= 2h; the
     number of odd coordinates is the cell's rank, and a cell covers the
     cells reached by moving one odd coordinate to an adjacent even value.
-    Labels are "x,y".
+    Labels are "x,y". Refused, before any cell is listed, above
+    ``MAX_POSET_FACES`` cells.
     """
     if w < 1 or h < 1:
         raise DomainError("khalimsky block needs w >= 1 and h >= 1")
+    if (2 * w + 1) * (2 * h + 1) > MAX_POSET_FACES:
+        raise DomainError(
+            f"khalimsky {w} {h} has a face count above the limit of {MAX_POSET_FACES}"
+        )
     cells = [(x, y) for y in range(2 * h + 1) for x in range(2 * w + 1)]
     idx = {c: i for i, c in enumerate(cells)}
     covers = []
@@ -156,7 +177,8 @@ def random_pure_complex(
     (``tests/oracles.py::random_pure_by_recount``).
 
     Raises DomainError before drawing when that many facets could have more
-    than ``MAX_FACES`` faces together.
+    than ``MAX_FACES`` faces together, and before counting the pool when
+    one facet could.
     """
     if dim < 1:
         raise DomainError("random-pure needs dim >= 1")
@@ -164,13 +186,9 @@ def random_pure_complex(
         raise DomainError(f"random-pure needs at least dim + 2 = {dim + 2} vertices")
     if n_facets < 1:
         raise DomainError("random-pure needs at least one facet")
+    _check_faces(f"a facet of dimension {dim}", 1, dim + 1)
     target = min(n_facets, math.comb(n_vertices, dim + 1))
-    bound = target * (2 ** (dim + 1) - 1)
-    if bound > MAX_FACES:
-        raise DomainError(
-            f"{target} random facet(s) of dimension {dim} may have up to "
-            f"{bound} faces, above the limit of {MAX_FACES}"
-        )
+    _check_faces(f"{target} random facet(s) of dimension {dim}", target, dim + 1)
     rng = random.Random(seed)
     pool = range(n_vertices)
     facets: set[tuple[int, ...]] = set()

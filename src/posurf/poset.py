@@ -410,7 +410,8 @@ def to_hasse(p: Poset) -> str:
             head = f"f {h} :"
         else:
             lab = str(lab)
-            if not lab or lab == ":" or any(ch.isspace() for ch in lab):
+            # '#' would start a comment in from_hasse
+            if not lab or lab == ":" or "#" in lab or any(ch.isspace() for ch in lab):
                 raise DomainError(f"label of face {h} cannot be serialized: {lab!r}")
             head = f"f {h} {lab} :"
         tail = " ".join(str(c) for c in p.covers(h))

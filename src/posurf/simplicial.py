@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import DomainError, ParseError
 from .poset import Poset
@@ -31,6 +31,16 @@ __all__ = [
 # one 18-vertex facet (262,143), whose closure alone takes seconds and
 # hundreds of megabytes.
 MAX_FACES = 1 << 17
+
+
+def refuse_faces(what: str, bound: int) -> NoReturn:
+    """Refuse ``what``, whose closure may have ``bound`` > MAX_FACES faces.
+
+    A bound wider than 64 bits is named by its power of two: one large
+    facet's 2^|f| - 1 has more digits than ``str`` converts.
+    """
+    size = f"up to {bound}" if bound.bit_length() <= 64 else f"over 2^{bound.bit_length() - 1}"
+    raise DomainError(f"{what} may have {size} faces, above the limit of {MAX_FACES}")
 
 
 def _as_simplex(vertices: Iterable[int]) -> frozenset[int]:
@@ -72,10 +82,7 @@ class SimplicialComplex:
                 continue
             bound += (1 << len(vs)) - 1
             if bound > MAX_FACES:
-                raise DomainError(
-                    f"the closure of {len(facets) + 1} facet(s) may have up to "
-                    f"{bound} faces, above the limit of {MAX_FACES}"
-                )
+                refuse_faces(f"the closure of {len(facets) + 1} facet(s)", bound)
             facets.append(vs)
             for r in range(1, len(vs) + 1):
                 closure.update(combinations(vs, r))

@@ -13,9 +13,9 @@ the definitions (differential debugging); the switch is read when a
 The recursion is naturally depth-bounded: a strict neighborhood always has
 rank strictly below the view it was taken in. The surface and border tests
 split each strict neighborhood into its two join factors, the strict
-closure and the strict opening (see ``Views.surface``), and the smooth PCM
-test reads the PCM verdict and its border (see ``Views.pcm``). Only
-coherence, border and PCM tests compute ranks.
+closure and the strict opening (see ``Views.surface``). The PCM and smooth
+PCM tests are one walk over the border that ``Views.border`` computes (see
+``Views.pcm``). Only coherence, border and PCM tests compute ranks.
 """
 
 from __future__ import annotations
@@ -152,51 +152,31 @@ class Views:
 
         Base cases: the empty order is the (-1)-PCM and a singleton the
         0-PCM. For rank n >= 1 the view must be connected with a nonempty
-        border, and every strict neighborhood must be an (n-1)-surface
-        (interior face) or an (n-1)-PCM (border face). A walk that passes
-        every face has found the whole border and stores it in the
-        ``border`` memo. A border face's neighborhood is tested whole: the
-        join law for PCMs would split it too, but its factors are new views
-        on grid-like inputs and measured slower there.
-
-        A smooth PCM needs smooth (n-1)-PCM neighborhoods at its border
-        faces, and a border that is a separated union of (n-1)-surfaces.
-        By induction smooth(t) = n-1 implies pcm(t) = n-1, so a smooth
-        PCM's walk is a PCM's walk with the same border: a view is a smooth
-        n-PCM exactly when it is an n-PCM whose border faces have smooth
-        (n-1)-PCM neighborhoods and whose border is such a union. The two
-        share their base cases, so the smooth test reads the PCM verdict,
-        passes NOT_PCM and ranks <= 0 through, and walks the border only.
+        border, and every border face's strict neighborhood must be an
+        (n-1)-PCM, a smooth one for a smooth PCM; a smooth PCM's border must
+        also be a separated union of (n-1)-surfaces. Interior faces need no
+        test: the border is exactly the faces whose neighborhood is not an
+        (n-1)-surface. One walk over the border serves both flags. A border
+        face's neighborhood is tested whole: the join law for PCMs would
+        split it too, but its factors are new views on grid-like inputs and
+        measured slower there.
         """
         memo = self._pcms[smooth]
         got = memo.get(mask)
         if got is not None:
             return got
-        if smooth:
-            result = n = self.pcm(mask)
-            if n >= 1:
-                bmask = self.border(mask)
-                smooth_faces = all(
-                    self.pcm(self.theta[h] & mask, True) == n - 1 for h in iter_bits(bmask)
-                )
-                if not (smooth_faces and self._surface_union(bmask, n - 1)):
-                    result = NOT_PCM
-        else:
-            count = mask.bit_count()
-            result = count - 1 if count <= 1 else NOT_PCM
-            # a connected view of two or more faces has rank n >= 1
-            if count > 1 and self.connected(mask):
-                n = self.rank(mask)
-                bmask = 0
-                for h in iter_bits(mask):
-                    if self._nbhd(h, mask) != n - 1:
-                        if self.pcm(self.theta[h] & mask) != n - 1:
-                            break
-                        bmask |= 1 << h
-                else:
-                    self._borders[mask] = bmask
-                    if bmask:
-                        result = n
+        count = mask.bit_count()
+        result = count - 1 if count <= 1 else NOT_PCM
+        # a connected view of two or more faces has rank n >= 1
+        if count > 1 and self.connected(mask):
+            n = self.rank(mask)
+            bmask = self.border(mask)
+            if (
+                bmask
+                and all(self.pcm(self.theta[h] & mask, smooth) == n - 1 for h in iter_bits(bmask))
+                and (not smooth or self._surface_union(bmask, n - 1))
+            ):
+                result = n
         memo[mask] = result
         return result
 
@@ -221,18 +201,16 @@ class SurfaceVerdict:
     """Outcome of the surface recognizer on one suborder view.
 
     ``rank`` is the k for which the view is a k-surface (possibly -1 for
-    the empty order) and is absent when ``is_surface`` is false. ``mask``
-    is the view identity the verdict was memoized under.
+    the empty order) and is absent when ``is_surface`` is false.
     """
 
     is_surface: bool
     rank: int | None
-    mask: int
 
     @classmethod
     def of(cls, views: Views, mask: int) -> "SurfaceVerdict":
         r = views.surface(mask)
-        return cls(r != NOT_SURFACE, None if r == NOT_SURFACE else r, mask)
+        return cls(r != NOT_SURFACE, None if r == NOT_SURFACE else r)
 
 
 def is_k_surface(obj: "Poset | SuborderView") -> SurfaceVerdict:

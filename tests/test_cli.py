@@ -196,6 +196,15 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_unreadable_input_exits_1(tmp_path, capsys):
+    code, out, err = run_cli(["classify", str(tmp_path)], capsys=capsys)
+    assert code == 1 and out == "" and err.startswith("posurf: error:")
+    latin1 = tmp_path / "latin1.facets"
+    latin1.write_bytes(b"# caf\xe9\n1 2 3\n")
+    code, out, err = run_cli(["classify", str(latin1)], capsys=capsys)
+    assert code == 1 and out == "" and "is not UTF-8 text" in err
+
+
 def test_recursive_mode_refuses_an_oversized_face_poset(capsys, monkeypatch):
     # annulus 8000 has 64,000 faces; its face poset's bitmasks would take
     # about 850 MB, so the recursive path fails before building them
@@ -233,6 +242,11 @@ def test_gen_random_pure_fails_fast_or_draws_fast(capsys):
     assert code == 0 and len(out.splitlines()) == 56
     code, out, _ = run_cli(["gen", "random-pure", "2", "1000000000", "3"], capsys=capsys)
     assert code == 0 and len(out.splitlines()) == 3
+    # one facet of 20,001 or 1,000,001 vertices is over the budget alone:
+    # refused before the pool's C(vertices, dim + 1) is counted
+    for argv in (["20000", "20002", "1"], ["1000000", "2000000", "1"]):
+        code, out, err = run_cli(["gen", "random-pure", *argv], capsys=capsys)
+        assert code == 1 and out == "" and "above the limit of" in err
     assert time.perf_counter() - start < 1
 
 

@@ -22,6 +22,7 @@ from posurf import (
     sphere,
     write_facets,
 )
+from posurf import generators as generators_module
 
 from . import oracles
 
@@ -63,6 +64,32 @@ def test_generate_errors():
         generate("khalimsky", 0, 2)
     with pytest.raises(DomainError):
         generate("simplex", -1)
+
+
+def test_generators_refuse_before_building(monkeypatch):
+    # the constructors' bounds in closed form: simplex n has 2^(n+1) - 1
+    # faces at most, sphere n (n+2)(2^(n+1) - 1), disk m 7m, annulus m 14m,
+    # pinched-box m 30m, and khalimsky w h has (2w+1)(2h+1) cells
+    built = []
+    for name in ("SimplicialComplex", "simplicial_join", "Poset"):
+        monkeypatch.setattr(generators_module, name, lambda *args: built.append(args))
+    cases = [
+        ("simplex", (16,), [(17,)]),
+        ("sphere", (12,), [(13,)]),
+        ("disk", (18724,), [(18725,)]),
+        ("annulus", (9362,), [(9363,)]),
+        ("pinched-box", (4369,), [(4370,)]),
+        ("khalimsky", (64, 63), [(65, 63), (64, 64)]),
+    ]
+    for name, largest, above in cases:
+        built.clear()
+        generate(name, *largest)
+        assert built, name
+        for params in above:
+            built.clear()
+            with pytest.raises(DomainError, match="above the limit of"):
+                generate(name, *params)
+            assert not built, (name, params)
 
 
 def test_deterministic_output():

@@ -330,6 +330,14 @@ def test_hasse_roundtrip_corpus(posets, complexes):
         assert q.labels == p.labels
 
 
+def test_to_hasse_refuses_labels_from_hasse_cannot_read():
+    for label in ("", ":", "a b", "a#b"):
+        with pytest.raises(DomainError, match="cannot be serialized"):
+            to_hasse(Poset([[], [0]], [label, "c"]))
+    p = Poset([[], [0]], ["rank", "f"])
+    assert from_hasse(to_hasse(p)).labels == p.labels
+
+
 def test_hasse_parse_errors():
     with pytest.raises(ParseError) as e:
         from_hasse("f 0 :\nf 1 x\n")

@@ -405,6 +405,12 @@ def test_oversized_facet_fails_fast(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_huge_facet_is_refused_without_printing_its_bound():
+    # the bound 2^15000 - 1 has more digits than str() converts
+    with pytest.raises(DomainError, match="above the limit of"):
+        read_facets(" ".join(str(v) for v in range(15000)) + "\n")
+
+
 def test_facet_comments_and_empty():
     k = read_facets("# a triangle\n1 2 3\n\n")
     assert k.dim == 2

@@ -92,8 +92,9 @@ def test_random_posets_match_brute_oracles():
         assert views.surface(mask) in (NOT_SURFACE, views.rank(mask)), (p.cover_lists, mask)
 
     def check_smooth_and_border(p, mask):
-        # the smooth test reads the PCM verdict, and the border the PCM walk
-        # stored; both against definitions that share neither
+        # the smooth test walks the border that Views.border stores, and the
+        # border after a PCM walk must match a fresh one; both against
+        # definitions that share neither
         covers = p.cover_lists
         members = list(iter_bits(mask))
         try:
