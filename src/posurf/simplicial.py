@@ -296,6 +296,10 @@ def simplicial_join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialCom
     side's facets when one side is empty. When the vertex sets collide,
     the second complex is renumbered upward by an offset; the result's
     dimension is dim(k) + dim(l) + 1.
+
+    The unions are distinct and maximal, so their closure has at most
+    sum over pairs of 2^(|x| + |y|) - 1 faces, which is the constructor's
+    own bound. It is checked in closed form before any union is built.
     """
     l_facets = l.facets
     if set(k.vertices) & set(l.vertices):
@@ -303,6 +307,10 @@ def simplicial_join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialCom
         l_facets = tuple(frozenset(v + offset for v in f) for f in l_facets)
     if not k.facets or not l_facets:
         return SimplicialComplex(k.facets + l_facets)
+    pairs = len(k.facets) * len(l_facets)
+    bound = sum(1 << len(x) for x in k.facets) * sum(1 << len(y) for y in l_facets) - pairs
+    if bound > MAX_FACES:
+        refuse_faces(f"the join of {len(k.facets)} facets with {len(l_facets)} facets", bound)
     return SimplicialComplex(x | y for x in k.facets for y in l_facets)
 
 

@@ -6,16 +6,23 @@ coherent, its border, and whether it is a PCM or a smooth PCM. Each answer
 is memoized under the bitmask in one of the poset's named memos
 (``view_rank``, ``connected``, ``surface``, ``coherent``, ``border``,
 ``pcm``, ``smooth``), so every recognizer run on one poset shares the work
-of the others. Setting ``POSURF_DISABLE_MEMO`` to 1, true or yes turns
-every memo into one that never stores, and each call then recomputes from
-the definitions (differential debugging); the switch is read when a
-``Views`` is made, which each public recognizer does per call.
-The recursion is naturally depth-bounded: a strict neighborhood always has
-rank strictly below the view it was taken in. The surface and border tests
-split each strict neighborhood into its two join factors, the strict
-closure and the strict opening (see ``Views.surface``). The PCM and smooth
-PCM tests are one walk over the border that ``Views.border`` computes (see
-``Views.pcm``). Only coherence, border and PCM tests compute ranks.
+of the others. The exceptions are the views that a bit test decides, which
+are never stored: surface views of at most two faces and PCM views of at
+most one. On a khalimsky block most surface views are that small, and
+each memo key is as wide as the poset, so storing them would cost more
+memory than deciding them again costs time. Setting
+``POSURF_DISABLE_MEMO`` to 1, true or yes turns every memo into one that
+never stores, and each call then recomputes from the definitions
+(differential debugging); the switch is read when a ``Views`` is made,
+which each public recognizer does per call.
+The recursion is depth-bounded: a strict neighborhood always has rank
+strictly below the view it was taken in. ``Views`` refuses a poset of rank
+above ``MAX_RANK`` with a DomainError, so the recursion never reaches
+Python's frame limit. The surface and border tests split each strict
+neighborhood into its two join factors, the strict closure and the strict
+opening (see ``Views.surface``). The PCM and smooth PCM tests are one walk
+over the border that ``Views.border`` computes (see ``Views.pcm``). Only
+coherence, border and PCM tests compute ranks.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ __all__ = ["SurfaceVerdict", "Views", "is_k_surface", "is_coherent", "NOT_SURFAC
 
 NOT_SURFACE = NOT_PCM = -2
 
+# Upper bound on the rank of a poset the recursion takes. Each rank nests
+# about two frames (a view, then a join factor of one of its
+# neighborhoods), so rank 256 needs about 520 of Python's default 1000.
+MAX_RANK = 256
+
 
 class _NoMemo(dict):
     """A memo that never stores."""
@@ -42,6 +54,11 @@ class Views:
     """Rank, surface, coherence, border and PCM tests on views of one poset."""
 
     def __init__(self, poset: Poset):
+        if poset.rank() > MAX_RANK:
+            raise DomainError(
+                f"a poset of rank {poset.rank()} would nest the recursion {poset.rank()} "
+                f"views deep, above the limit of {MAX_RANK}"
+            )
         self.poset = poset
         self.alpha = poset.alpha_masks
         self.beta = poset.beta_masks
@@ -100,18 +117,19 @@ class Views:
         rank(theta(h) & V). By induction a k-surface has rank k (the empty
         order rank -1, two incomparable faces rank 0), so V has rank k.
         """
+        count = mask.bit_count()
+        if count <= 2:
+            # the base cases: decided by a bit test, so never stored
+            if count == 0:
+                return -1
+            top = mask.bit_length() - 1
+            return 0 if count == 2 and not self.theta[top] & mask else NOT_SURFACE
         got = self._surfaces.get(mask)
         if got is not None:
             return got
-        count = mask.bit_count()
         low = (mask & -mask).bit_length() - 1
         result = NOT_SURFACE
-        if count == 0:
-            result = -1
-        elif count == 2:
-            if not self.theta[low] & mask:
-                result = 0
-        elif count > 2 and self.connected(mask):
+        if self.connected(mask):
             k = self._nbhd(low, mask)
             if k >= 0:
                 for h in iter_bits(mask ^ (1 << low)):
@@ -161,14 +179,16 @@ class Views:
         split it too, but its factors are new views on grid-like inputs and
         measured slower there.
         """
+        count = mask.bit_count()
+        if count <= 1:
+            return count - 1
         memo = self._pcms[smooth]
         got = memo.get(mask)
         if got is not None:
             return got
-        count = mask.bit_count()
-        result = count - 1 if count <= 1 else NOT_PCM
+        result = NOT_PCM
         # a connected view of two or more faces has rank n >= 1
-        if count > 1 and self.connected(mask):
+        if self.connected(mask):
             n = self.rank(mask)
             bmask = self.border(mask)
             if (

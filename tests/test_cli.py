@@ -218,6 +218,21 @@ def test_recursive_mode_refuses_an_oversized_face_poset(capsys, monkeypatch):
     assert "64000 faces is above the limit" in err
 
 
+def test_recursive_mode_refuses_a_poset_too_deep_for_the_recursion(capsys, monkeypatch):
+    # a 600-face chain has rank 599; the recursion would nest past Python's
+    # frame limit, so it is refused with one line instead of a RecursionError
+    chain = "".join(f"f {i} : {i - 1 if i else ''}\n" for i in range(600))
+    code, out, err = run_cli(
+        ["classify", "--format", "hasse", "--mode", "recursive", "-"],
+        stdin_text=chain,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("posurf: error:")
+    assert "rank 599 would nest the recursion 599 views deep" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli(["bogus"], capsys=capsys)[0] == 1
     assert run_cli(["classify", "--mode", "sideways"], capsys=capsys)[0] == 1

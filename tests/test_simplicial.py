@@ -198,11 +198,33 @@ def test_join_renumbers_on_collision():
 
 
 def test_join_budget_fails_fast():
-    # the join of two 8-spheres has 1,046,528 faces, 8 times the limit
+    # the join of two 8-spheres has 1,046,528 faces, 8 times the limit, and
+    # annulus 200 with itself 160,000 unions; the closed-form bound refuses
+    # both before any union is built
     t0 = time.perf_counter()
-    with pytest.raises(DomainError, match="limit of"):
-        simplicial_join(sphere(8), sphere(8))
+    for k in (sphere(8), annulus(200)):
+        with pytest.raises(DomainError, match="the join of .* above the limit of"):
+            simplicial_join(k, k)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_join_refuses_exactly_what_the_constructor_refuses(monkeypatch, complexes):
+    # the closed form equals the constructor's sum over the join's facets:
+    # at that limit the join is built, one below it is refused
+    for name, a in complexes[:12]:
+        for b in (sphere(0), solid_simplex(1), sphere(1), a):
+            j = simplicial_join(a, b)
+            if not (a.facets and b.facets):
+                continue
+            bound = sum((1 << len(f)) - 1 for f in j.facets)
+            monkeypatch.setattr(simplicial, "MAX_FACES", bound)
+            assert simplicial_join(a, b) == j, name
+            monkeypatch.setattr(simplicial, "MAX_FACES", bound - 1)
+            with pytest.raises(DomainError, match="the join of"):
+                simplicial_join(a, b)
+            with pytest.raises(DomainError, match="above the limit"):
+                SimplicialComplex(j.facets)
+            monkeypatch.undo()
 
 
 def test_link_and_join_match_face_family_definitions(complexes, big_complexes):

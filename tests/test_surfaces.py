@@ -1,15 +1,25 @@
 """Surface recognizer and coherence: base cases, instances, differentials."""
 
+import tracemalloc
+
+import pytest
+
 from posurf import (
+    DomainError,
     Poset,
+    classify_recursive,
     is_coherent,
     is_k_surface,
+    is_pcm,
     join,
+    khalimsky_block,
     pinched_sphere,
     solid_simplex,
     sphere,
     theta_view,
 )
+from posurf.border import border_mask_of
+from posurf.surfaces import MAX_RANK
 
 from .conftest import antichain_poset, chain_poset, memo_on_and_off
 from . import oracles
@@ -163,6 +173,39 @@ def test_memo_switch_stores_nothing(monkeypatch):
         recognizer(q)
     assert is_k_surface(q).rank == 2
     assert all(len(q.memo(name)) > 0 for name in names)
+
+
+def test_views_a_bit_test_decides_are_never_stored(monkeypatch):
+    # surface views of at most two faces and PCM views of at most one are
+    # decided before the memo is read; on a khalimsky block they are most
+    # of the surface views, and storing them more than tripled the traced peak
+    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
+    p = khalimsky_block(24, 24)
+    tracemalloc.start()
+    try:
+        c = classify_recursive(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.category == "pcm" and c.is_smooth_pcm
+    assert p.memo("surface") and all(m.bit_count() >= 3 for m in p.memo("surface"))
+    for name in ("pcm", "smooth"):
+        assert p.memo(name) and all(m.bit_count() >= 2 for m in p.memo(name))
+    assert peak < 1_000_000
+
+
+def test_a_poset_too_deep_for_the_recursion_is_refused(monkeypatch):
+    # each rank nests about two frames; a chain of MAX_RANK + 1 faces is
+    # taken, one face more is refused before any view is evaluated
+    deepest = chain_poset(MAX_RANK + 1)
+    for env in ("", "1"):
+        monkeypatch.setenv("POSURF_DISABLE_MEMO", env)
+        assert not is_k_surface(deepest).is_surface
+        assert border_mask_of(deepest) == deepest.full_mask
+    too_deep = chain_poset(MAX_RANK + 2)
+    for recognizer in (is_k_surface, is_coherent, border_mask_of, is_pcm, classify_recursive):
+        with pytest.raises(DomainError, match=f"rank {MAX_RANK + 1} would nest"):
+            recognizer(too_deep)
 
 
 # ---------------------------------------------------------------------------
