@@ -13,13 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from .border import border, is_pcm, is_smooth_pcm
 from .classify import VERDICT_FIELDS, classify_both, classify_fast, classify_recursive, cross_check
 from .errors import CrossCheckError, DomainError, ParseError, PosurfError
 from .generators import generate, generator_names, random_pure_complex, sphere
 from .poset import from_hasse, restrict, to_hasse
 from .simplicial import SimplicialComplex, read_facets, simplicial_join, write_facets
-from .surfaces import is_k_surface
+from .surfaces import border, is_k_surface, is_pcm, is_smooth_pcm
 
 _GOLDEN_BENCH = (
     ("simplex 0", lambda: generate("simplex", 0)),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["PosurfError", "DomainError", "ParseError", "CrossCheckError"]
+
 
 class PosurfError(Exception):
     """Base class for all library errors."""

@@ -12,7 +12,6 @@ from .poset import MAX_POSET_FACES, Poset
 from .simplicial import MAX_FACES, SimplicialComplex, refuse_faces, simplicial_join
 
 __all__ = [
-    "GeneratorSpec",
     "generate",
     "generator_names",
     "solid_simplex",
@@ -25,15 +24,6 @@ __all__ = [
     "khalimsky_block",
     "random_pure_complex",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Name plus integer parameters (and a seed for the random family)."""
-
-    name: str
-    params: tuple[int, ...] = ()
-    seed: int | None = None
 
 
 def _check_faces(what: str, n_facets: int, size: int) -> None:
@@ -269,17 +259,13 @@ def generator_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def generate(spec, *params: int, seed: int | None = None):
+def generate(name: str, *params: int, seed: int | None = None):
     """Build a named instance: a SimplicialComplex, or a Poset for cubical ones.
 
-    ``spec`` is a GeneratorSpec or a name followed by integer parameters.
-    For the random family the seed may be given as the last positional
-    parameter or via ``seed=``.
+    ``name`` is followed by the generator's integer parameters. For the
+    random family the seed may be given as the last positional parameter
+    or via ``seed=``.
     """
-    if isinstance(spec, GeneratorSpec):
-        name, params, seed = spec.name, spec.params, spec.seed
-    else:
-        name = spec
     entry = _REGISTRY.get(name)
     if entry is None:
         raise DomainError(f"unknown generator {name!r}; known: {', '.join(generator_names())}")

@@ -32,7 +32,6 @@ __all__ = [
     "as_view",
     "restrict",
     "theta_view",
-    "iter_bits",
     "local_sets",
     "rank",
     "connected_components",
@@ -49,6 +48,32 @@ __all__ = [
 MAX_POSET_FACES = 1 << 14
 
 
+def check_poset_faces(n: int) -> None:
+    """Refuse a poset of ``n`` faces above ``MAX_POSET_FACES``."""
+    if n > MAX_POSET_FACES:
+        raise DomainError(f"a poset of {n} faces is above the limit of {MAX_POSET_FACES}")
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped line) for each line of ``text``
+    that is not blank once its '#' comment is cut.
+
+    The lines and numbers are those of ``text.splitlines()``, read lazily in
+    blocks of whole lines of about 64k characters, so a parser that stops
+    early never holds every line at once.
+    """
+    no = start = 0
+    while start < len(text):
+        stop = text.find("\n", start + (1 << 16))
+        stop = len(text) if stop < 0 else stop + 1
+        for raw in text[start:stop].splitlines():
+            no += 1
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield no, line
+        start = stop
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -63,17 +88,17 @@ class Poset:
     ``covers[h]`` lists the immediate strict predecessors of face ``h``;
     the strict order is its transitive closure. Construction rejects
     cyclic input, so the closure is always a strict partial order. It
-    also rejects more than ``MAX_POSET_FACES`` faces.
+    also rejects more than ``MAX_POSET_FACES`` faces, before it reads any
+    cover list.
     """
 
     def __init__(self, covers: Sequence[Iterable[int]], labels: Sequence[str | None] | None = None):
+        n = len(covers)
+        check_poset_faces(n)
         try:
             cover_lists = [tuple(sorted({operator.index(c) for c in cs})) for cs in covers]
         except TypeError:
             raise DomainError("covers must list integer face ids") from None
-        n = len(cover_lists)
-        if n > MAX_POSET_FACES:
-            raise DomainError(f"a poset of {n} faces is above the limit of {MAX_POSET_FACES}")
         for h, cs in enumerate(cover_lists):
             for c in cs:
                 if not 0 <= c < n:
@@ -197,15 +222,6 @@ class SuborderView:
 
     def rank(self) -> int:
         return view_rank(self.ambient, self.mask)
-
-    def face_rank(self, h: int) -> int:
-        if h not in self:
-            raise DomainError(f"face {h} is not a member of the view")
-        return view_face_ranks(self.ambient, self.mask)[h]
-
-    def restrict(self, faces: Iterable[int]) -> "SuborderView":
-        sub = mask_of(self, faces)
-        return SuborderView(self.ambient, sub)
 
     def to_poset(self) -> Poset:
         """Materialize the view as a standalone poset.
@@ -349,7 +365,9 @@ def rank(obj: "Poset | SuborderView", h: int | None = None) -> int:
     view = as_view(obj)
     if h is None:
         return view_rank(view.ambient, view.mask)
-    return view.face_rank(h)
+    if h not in view:
+        raise DomainError(f"face {h} is not a member of the view")
+    return view_face_ranks(view.ambient, view.mask)[h]
 
 
 def connected_components(obj: "Poset | SuborderView") -> tuple[frozenset[int], ...]:
@@ -423,14 +441,13 @@ def from_hasse(text: str) -> Poset:
     """Parse the Hasse text format; ids must be dense from 0.
 
     A ``rank <n>`` line is optional and verified against the computed rank.
+    Refused at face record ``MAX_POSET_FACES`` + 1, before the rest of the
+    text is read: a poset of that many faces is refused anyway.
     """
     records: dict[int, tuple[str | None, list[int]]] = {}
     declared: int | None = None
     declared_line = 0
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in content_lines(text):
         toks = line.split()
         if toks[0] == "rank":
             if len(toks) != 2:
@@ -443,6 +460,9 @@ def from_hasse(text: str) -> Poset:
                 raise ParseError(f"rank is not an integer: {toks[1]!r}", no) from None
             declared_line = no
         elif toks[0] == "f":
+            if len(records) == MAX_POSET_FACES:
+                msg = f"face record {MAX_POSET_FACES + 1} is above the limit of {MAX_POSET_FACES} faces"
+                raise ParseError(msg, no)
             if len(toks) < 3:
                 raise ParseError("face record needs at least 'f <id> :'", no)
             try:

@@ -15,13 +15,14 @@ from itertools import combinations
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import DomainError, ParseError
-from .poset import Poset
+from .poset import Poset, check_poset_faces, content_lines
 
 __all__ = [
     "SimplicialComplex",
     "simplicial_join",
     "read_facets",
     "write_facets",
+    "check_condition_C",
 ]
 
 # Upper bound on the closure of a facet list, checked before each facet's
@@ -87,8 +88,6 @@ class SimplicialComplex:
             for r in range(1, len(vs) + 1):
                 closure.update(combinations(vs, r))
         self._canonical = _canonical(closure)
-        # face -> its id in the face poset (the canonical position)
-        self._face_ids = dict(zip(self._canonical, range(len(closure))))
         self._dim = len(self._canonical[-1]) - 1 if closure else -1
         self._facets = _canonical(facets)
         self._vertices = tuple(sorted(set().union(*facets)))
@@ -129,7 +128,7 @@ class SimplicialComplex:
             s = _as_simplex(simplex)
         except DomainError:
             return False
-        return s in self._face_ids
+        return any(s <= f for f in self._facets)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self._canonical == other._canonical
@@ -153,10 +152,12 @@ class SimplicialComplex:
         """Poset of all faces under inclusion; covering is codimension 1.
 
         Ids follow the canonical face order and labels record the sorted
-        vertex tuple, comma separated. Cached on the complex.
+        vertex tuple, comma separated. Cached on the complex. Refused, before
+        any label or cover is built, above ``MAX_POSET_FACES`` faces.
         """
         if self._poset is None:
-            idx = self._face_ids
+            check_poset_faces(len(self._canonical))
+            idx = dict(zip(self._canonical, range(len(self._canonical))))
             covers = []
             labels = []
             for f in self._canonical:
@@ -165,20 +166,13 @@ class SimplicialComplex:
             self._poset = Poset(covers, labels)
         return self._poset
 
-    def face_id(self, simplex) -> int:
-        s = _as_simplex(simplex)
-        try:
-            return self._face_ids[s]
-        except KeyError:
-            raise DomainError(f"{sorted(s)} is not a face of the complex") from None
-
     # -- links and structural predicates ------------------------------------
 
     def link(self, simplex) -> "SimplicialComplex":
         """Faces disjoint from ``simplex`` whose union with it is a face: the
         closure of ``F - simplex`` over the facets F strictly containing it."""
         h = _as_simplex(simplex)
-        if h not in self._face_ids:
+        if h not in self:
             raise DomainError(f"{sorted(h)} is not a face of the complex")
         return SimplicialComplex(f - h for f in self._facets if h < f)
 
@@ -276,6 +270,45 @@ def _stars_connected(ridges: dict[frozenset, list[int]]) -> bool:
     return all(sum(1 for i, p in parent.items() if i == p) == 1 for parent in stars.values())
 
 
+def check_condition_C(complex) -> bool:
+    """Border-smoothness condition (C) for a simplicial n-PCM, n >= 1.
+
+    (C) asks every border face for a strict neighborhood inside the border
+    that is an (n-2)-surface. It is decided here from simplicial data only,
+    without the face poset, and it decides smoothness exactly:
+
+    1. Smooth implies (C): a smooth PCM's border is a separated union of
+       (n-1)-surfaces, and inside such a union each face's strict
+       neighborhood is the one it has in its own component, an
+       (n-2)-surface.
+    2. (C) implies smooth: the paper's sufficient condition.
+    3. The border of a simplicial PCM is its boundary complex B, the
+       closure of the ridges under exactly one top facet. Every ridge of B
+       lies under exactly two facets of B, because in a normal
+       pseudomanifold the link of a codimension-2 face is a path or a
+       cycle. (C) then holds iff, for every face of B of codimension >= 2
+       in B, the facets of B over it are connected through ridges of B
+       over it: each vertex-connected component of B is a closed normal
+       (n-1)-pseudomanifold, for n-1 >= 2 an (n-1)-surface by the normal
+       pseudomanifold characterization, and for n-1 = 1 a cycle. For
+       n = 1, B is a path's two endpoints and (C) holds trivially, so
+       every 1-PCM is smooth. B is read from its facets, the boundary
+       ridges, and is never closed.
+
+    The input must be a normal pseudomanifold of dimension n >= 1 with at
+    least one boundary ridge, which is what an n-PCM is among simplicial
+    complexes; DomainError otherwise.
+    """
+    if not isinstance(complex, SimplicialComplex):
+        raise DomainError("condition (C) applies to simplicial complexes")
+    if complex.dim < 1:
+        raise DomainError("condition (C) applies to complexes of rank >= 1")
+    boundary = complex.boundary_ridges()
+    if not (complex.is_normal_pseudomanifold() and boundary):
+        raise DomainError("condition (C) requires an n-PCM input")
+    return _stars_connected(_ridge_index(boundary))
+
+
 def _find(parent, x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -315,21 +348,33 @@ def simplicial_join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialCom
 
 
 def read_facets(text: str) -> SimplicialComplex:
-    """Parse the facet-list format: one facet per line, '#' comments."""
-    facets = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    """Parse the facet-list format: one facet per line, '#' comments.
+
+    Refused through ``refuse_faces`` at the first line whose simplex alone
+    has more than ``MAX_FACES`` faces, or that is the ``MAX_FACES`` + 1-th
+    distinct simplex. Both bounds are exact: every simplex read is a face of
+    the closure, so the constructor, which reads every line first, refuses
+    each such input too.
+    """
+    simplices: set[frozenset[int]] = set()
+    bound = 0
+    for no, line in content_lines(text):
         try:
-            verts = [int(t) for t in toks]
+            verts = [int(t) for t in line.split()]
         except ValueError:
             raise ParseError(f"facet vertices must be integers: {line!r}", no) from None
-        if len(set(verts)) != len(verts):
+        s = frozenset(verts)
+        if len(s) != len(verts):
             raise ParseError(f"repeated vertex in facet: {line!r}", no)
-        facets.append(verts)
-    return SimplicialComplex(facets)
+        faces = (1 << len(s)) - 1
+        if faces > MAX_FACES:
+            refuse_faces(f"line {no}: a simplex of {len(s)} vertices", faces)
+        if s not in simplices:
+            simplices.add(s)
+            bound += faces
+            if len(simplices) > MAX_FACES:
+                refuse_faces(f"line {no}: the closure of {len(simplices)} simplices", bound)
+    return SimplicialComplex(simplices)
 
 
 def write_facets(k: SimplicialComplex) -> str:

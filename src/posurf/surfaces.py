@@ -22,7 +22,9 @@ Python's frame limit. The surface and border tests split each strict
 neighborhood into its two join factors, the strict closure and the strict
 opening (see ``Views.surface``). The PCM and smooth PCM tests are one walk
 over the border that ``Views.border`` computes (see ``Views.pcm``). Only
-coherence, border and PCM tests compute ranks.
+coherence, border and PCM tests compute ranks. The border of a rank-n view
+collects the faces whose strict neighborhood is not an (n-1)-surface; the
+interior is the rest.
 """
 
 from __future__ import annotations
@@ -33,7 +35,16 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .poset import Poset, SuborderView, as_view, component_masks, iter_bits, view_rank
 
-__all__ = ["SurfaceVerdict", "Views", "is_k_surface", "is_coherent", "NOT_SURFACE", "NOT_PCM"]
+__all__ = [
+    "SurfaceVerdict",
+    "PcmVerdict",
+    "BorderDecomposition",
+    "is_k_surface",
+    "is_coherent",
+    "border",
+    "is_pcm",
+    "is_smooth_pcm",
+]
 
 NOT_SURFACE = NOT_PCM = -2
 
@@ -243,3 +254,68 @@ def is_coherent(obj: "Poset | SuborderView") -> bool:
     """True when every strict neighborhood drops rank by exactly one, recursively."""
     view = as_view(obj)
     return Views(view.ambient).coherent(view.mask)
+
+
+@dataclass(frozen=True)
+class PcmVerdict:
+    """Outcome of a PCM recognizer; ``rank`` is set only when it holds."""
+
+    holds: bool
+    rank: int | None
+
+
+@dataclass(frozen=True)
+class BorderDecomposition:
+    """The border of a view, its interior, and the border's components.
+
+    Each component comes with its own surface verdict, evaluated as a
+    standalone suborder.
+    """
+
+    border_faces: frozenset[int]
+    interior_faces: frozenset[int]
+    components: tuple[tuple[frozenset[int], SurfaceVerdict], ...]
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.border_faces
+
+
+def border_mask_of(obj: "Poset | SuborderView") -> int:
+    """Bitmask of the border faces of a poset or view of rank >= 0."""
+    view = as_view(obj)
+    return Views(view.ambient).border(view.mask)
+
+
+def border(obj: "Poset | SuborderView") -> BorderDecomposition:
+    """Border decomposition of a poset or suborder view (rank >= 0).
+
+    Scans the faces in id order and tests each strict neighborhood against
+    the (rank-1)-surface target; the border faces are then partitioned
+    into theta-connected components, each with its surface verdict.
+    """
+    view = as_view(obj)
+    views = Views(view.ambient)
+    bmask = views.border(view.mask)
+    return BorderDecomposition(
+        border_faces=frozenset(iter_bits(bmask)),
+        interior_faces=frozenset(iter_bits(view.mask & ~bmask)),
+        components=tuple(
+            (frozenset(iter_bits(cm)), SurfaceVerdict.of(views, cm))
+            for cm in component_masks(view.ambient, bmask)
+        ),
+    )
+
+
+def _pcm_verdict(obj: "Poset | SuborderView", smooth: bool) -> PcmVerdict:
+    view = as_view(obj)
+    r = Views(view.ambient).pcm(view.mask, smooth)
+    return PcmVerdict(r != NOT_PCM, None if r == NOT_PCM else r)
+
+
+def is_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
+    return _pcm_verdict(obj, smooth=False)
+
+
+def is_smooth_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
+    return _pcm_verdict(obj, smooth=True)

@@ -16,6 +16,12 @@ from posurf.simplicial import SimplicialComplex
 from posurf.surfaces import Views
 
 
+def face_id(k: SimplicialComplex, simplex) -> int:
+    """Id of ``simplex`` in ``k.face_poset()``: its position in the canonical
+    face order ``k.faces``."""
+    return k.faces.index(frozenset(simplex))
+
+
 # ---------------------------------------------------------------------------
 # poset-level oracles over raw cover lists
 

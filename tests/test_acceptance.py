@@ -253,9 +253,9 @@ def test_criterion_5_cut_and_glue():
     for cut_edges in cuts:
         ids = set()
         for e in cut_edges:
-            ids.add(k.face_id(e))
+            ids.add(oracles.face_id(k, e))
             for v in e:
-                ids.add(k.face_id(frozenset({v})))
+                ids.add(oracles.face_id(k, {v}))
         equator = restrict(p, sorted(ids))
         v = is_k_surface(equator)
         assert v.is_surface and v.rank == 1

@@ -21,7 +21,7 @@ from posurf import (
     solid_simplex,
     sphere,
 )
-from posurf.border import border_mask_of
+from posurf.surfaces import border_mask_of
 from posurf.poset import iter_bits
 
 from .conftest import (
@@ -265,7 +265,7 @@ def test_condition_C_fails_exactly_at_apex():
     k = pinched_box(6)
     p = k.face_poset()
     d = border(p)
-    apex = k.face_id(frozenset({12}))
+    apex = oracles.face_id(k, {12})
     assert apex in d.border_faces
     from posurf import connected_components, restrict, theta_view
 

@@ -302,6 +302,35 @@ def test_bench_small(capsys):
     assert "speedup" in out and "instance mix:" in out
 
 
+def test_bench_json_schema(capsys):
+    code, out, _ = run_cli(
+        ["bench", "--max-sphere", "1", "--random", "3", "--json"], capsys=capsys
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert set(report) == {"command", "rows", "category_counts"}
+    assert report["command"] == "bench"
+    rows = report["rows"]
+    assert [r["instance"] for r in rows[-5:]] == [
+        "sphere 0",
+        "sphere 1",
+        "random-pure d1 #0",
+        "random-pure d2 #1",
+        "random-pure d3 #2",
+    ]
+    for row in rows:
+        assert set(row) == {"instance", "faces", "category", "fast_ms", "recursive_ms", "speedup"}
+        assert isinstance(row["faces"], int) and row["faces"] >= 0
+        assert row["category"] in ("empty", "surface", "pcm", "neither")
+        for key in ("fast_ms", "recursive_ms", "speedup"):
+            assert isinstance(row[key], (int, float)) and row[key] >= 0
+    counts: dict[str, int] = {}
+    for row in rows:
+        counts[row["category"]] = counts.get(row["category"], 0) + 1
+    assert report["category_counts"] == dict(sorted(counts.items()))
+    assert list(report["category_counts"]) == sorted(report["category_counts"])
+
+
 def test_real_pipe_subprocess():
     # one true end-to-end pipe through the OS
     cmd = (

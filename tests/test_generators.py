@@ -6,7 +6,6 @@ import pytest
 
 from posurf import (
     DomainError,
-    GeneratorSpec,
     Poset,
     SimplicialComplex,
     annulus,
@@ -43,9 +42,9 @@ def test_registry_names():
 def test_generate_dispatch():
     assert isinstance(generate("sphere", 2), SimplicialComplex)
     assert isinstance(generate("khalimsky", 2, 2), Poset)
-    assert generate(GeneratorSpec("disk", (5,))) == disk(5)
+    assert generate("disk", 5) == disk(5)
     r1 = generate("random-pure", 2, 8, 5, 42)
-    r2 = generate(GeneratorSpec("random-pure", (2, 8, 5), seed=42))
+    r2 = generate("random-pure", 2, 8, 5, seed=42)
     assert r1 == r2
 
 

@@ -22,14 +22,14 @@ from posurf import (
     to_hasse,
 )
 from posurf import poset as poset_module
-from posurf.poset import SuborderView, component_masks, iter_bits, view_rank
+from posurf.poset import SuborderView, component_masks, content_lines, iter_bits, view_rank
 
 from .conftest import antichain_poset, chain_poset
 from . import oracles
 
 
 def face_of(k, verts):
-    return k.face_id(frozenset(verts))
+    return oracles.face_id(k, verts)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,32 @@ def test_poset_budget_boundary(monkeypatch):
         Poset([[], [0], [0], [1, 2]])
     with pytest.raises(ParseError, match="limit of 3"):
         from_hasse("f 0 :\nf 1 :\nf 2 :\nf 3 :\n")
+
+
+def test_poset_is_refused_before_its_covers_are_read(monkeypatch):
+    monkeypatch.setattr(poset_module, "MAX_POSET_FACES", 3)
+    with pytest.raises(DomainError, match="a poset of 4 faces is above the limit of 3"):
+        Poset([["x"]] * 4)
+
+
+def test_from_hasse_refuses_at_the_first_record_above_the_limit(monkeypatch):
+    # the refusal comes before the malformed line after it is read
+    monkeypatch.setattr(poset_module, "MAX_POSET_FACES", 3)
+    chain = "".join(f"f {i} : {i - 1 if i else ''}\n" for i in range(4))
+    with pytest.raises(ParseError, match="face record 4 is above the limit of 3") as e:
+        from_hasse("# a chain\n" + chain + "f x\n")
+    assert e.value.line == 5
+    with pytest.raises(ParseError, match="face id is not an integer"):
+        from_hasse(chain[: chain.index("f 2")] + "f x :\n")
+
+
+def test_content_lines_match_splitlines_across_blocks():
+    seps = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+    text = "".join(f"{i} 1 # c{i}{seps[i % len(seps)]}" + "\n" * (i % 3 == 0) for i in range(20000))
+    assert len(text) > 3 * (1 << 16)
+    want = [(no, raw.split("#")[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
+    assert list(content_lines(text)) == [(no, line) for no, line in want if line]
+    assert list(content_lines("")) == [] and list(content_lines(" # x\n\n")) == []
 
 
 def test_empty_poset():
@@ -147,7 +173,7 @@ def test_view_ranks_recomputed_not_inherited(posets, complexes):
             standalone = nbhd.to_poset()
             members = nbhd.members
             for i, m in enumerate(members):
-                assert standalone.face_ranks[i] == nbhd.face_rank(m)
+                assert standalone.face_ranks[i] == rank(nbhd, m)
 
 
 # ---------------------------------------------------------------------------

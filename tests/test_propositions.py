@@ -19,7 +19,7 @@ from posurf import (
     restrict,
     theta_view,
 )
-from posurf.border import border_mask_of
+from posurf.surfaces import border_mask_of
 from posurf.poset import as_view, iter_bits
 
 from . import oracles
@@ -49,8 +49,7 @@ def check_closures_are_surfaces(k: SimplicialComplex):
     """In a complex, the strict closure of a d-face is a (d-1)-surface."""
     violations = []
     p = k.face_poset()
-    for f in k.faces:
-        h = k.face_id(f)
+    for h, f in enumerate(k.faces):
         v = is_k_surface(restrict(p, sorted(local_sets(p, h, "alpha"))))
         if not (v.is_surface and v.rank == len(f) - 2):
             violations.append((sorted(f), v))
@@ -62,8 +61,7 @@ def check_interval_surfaces(k: SimplicialComplex):
     rank dim(x) - dim(y) - 2."""
     violations = []
     p = k.face_poset()
-    for x in k.faces:
-        xid = k.face_id(x)
+    for xid, x in enumerate(k.faces):
         below = local_sets(p, xid, "alpha")
         for yid in below:
             inter = local_sets(p, yid, "beta") & below
@@ -332,8 +330,7 @@ def test_openings_in_simplicial_pcms_split_by_border(complexes):
             continue
         n = v.rank
         bd = border_set(p)
-        for f in k.faces:
-            h = k.face_id(f)
+        for h, f in enumerate(k.faces):
             up = restrict(p, sorted(local_sets(p, h, "beta")))
             want = n - (len(f) - 1) - 1
             if h in bd:

@@ -25,6 +25,7 @@ from posurf import (
     sphere,
     write_facets,
 )
+from posurf import poset as poset_module
 from posurf import simplicial
 from posurf.cli import main as cli_main
 
@@ -90,7 +91,7 @@ def test_vertices_must_be_integers():
     assert {"a"} not in sphere(2)
     assert 7 not in sphere(2)
     with pytest.raises(DomainError):
-        sphere(2).face_id({"a"})
+        sphere(2).link({"a"})
 
 
 def test_intersection_closed(complexes):
@@ -116,8 +117,8 @@ def test_face_poset_edge():
 def test_face_poset_rank_equals_dimension(complexes):
     for name, k in complexes:
         p = k.face_poset()
-        for f in k.faces:
-            assert p.face_ranks[k.face_id(f)] == len(f) - 1, name
+        for h, f in enumerate(k.faces):
+            assert p.face_ranks[h] == len(f) - 1, name
 
 
 def test_face_poset_triangle_boundary_is_hexagon():
@@ -163,8 +164,7 @@ def test_link_unknown_face():
 def test_link_coface_isomorphism(complexes):
     for name, k in complexes:
         p = k.face_poset()
-        for f in k.faces:
-            h = k.face_id(f)
+        for h, f in enumerate(k.faces):
             beta = restrict(p, sorted(local_sets(p, h, "beta")))
             assert oracles.is_isomorphic(beta, k.link(f).face_poset()), (name, sorted(f))
 
@@ -408,6 +408,30 @@ def test_closure_budget_boundary(monkeypatch):
     assert len(SimplicialComplex([(1, 2, 3), (4,)])) == 8
     with pytest.raises(DomainError, match="limit of 8"):
         SimplicialComplex([(1, 2, 3), (4,), (5,)])
+
+
+def test_read_facets_refuses_at_the_first_line_above_the_limit(monkeypatch):
+    # the refusal comes before the malformed line after it is read
+    monkeypatch.setattr(simplicial, "MAX_FACES", 10)
+    with pytest.raises(DomainError, match="^line 2: a simplex of 4 vertices .* limit of 10$"):
+        read_facets("0\n0 1 2 3\nx\n")
+    # the 11th distinct simplex; a repeated line is not counted twice
+    text = "0\n0\n" + "".join(f"{v}\n" for v in range(1, 11)) + "x\n"
+    with pytest.raises(DomainError, match="^line 12: the closure of 11 simplices .* limit of 10$"):
+        read_facets(text)
+    # both bounds are exact: the constructor admits each of these
+    assert len(read_facets("".join(f"{v}\n" for v in range(10)))) == 10
+    assert len(read_facets("0 1 2\n0 1\n0\n3\n4\n5\n")) == 10
+
+
+def test_face_poset_is_refused_before_it_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("face poset built")
+
+    monkeypatch.setattr(poset_module, "MAX_POSET_FACES", 13)
+    monkeypatch.setattr(simplicial, "Poset", refuse)
+    with pytest.raises(DomainError, match="a poset of 14 faces is above the limit of 13"):
+        sphere(2).face_poset()
 
 
 def test_closure_budget_admits_annulus_8000():

@@ -18,7 +18,7 @@ from posurf import (
     sphere,
     theta_view,
 )
-from posurf.border import border_mask_of
+from posurf.surfaces import border_mask_of
 from posurf.surfaces import MAX_RANK
 
 from .conftest import antichain_poset, chain_poset, memo_on_and_off
