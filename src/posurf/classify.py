@@ -203,6 +203,13 @@ class CrossCheckRow:
         return self.recursive_s / self.fast_s if self.fast_s > 0 else float("inf")
 
 
+# The fields of a row of ``CrossCheckReport.to_dict()``, each with the
+# width of its column in ``table()``.
+_ROW_WIDTHS = {
+    "instance": 28, "faces": 6, "category": 9, "fast_ms": 9, "recursive_ms": 13, "speedup": 8,
+}
+
+
 @dataclass
 class CrossCheckReport:
     rows: list[CrossCheckRow]
@@ -214,14 +221,27 @@ class CrossCheckReport:
             counts[row.category] = counts.get(row.category, 0) + 1
         return dict(sorted(counts.items()))
 
+    def to_dict(self) -> dict:
+        """The rows, times in milliseconds, and the category counts."""
+        rows = [
+            dict(zip(_ROW_WIDTHS, (r.name, r.faces, r.category, round(r.fast_s * 1000, 3),
+                                   round(r.recursive_s * 1000, 3), round(r.speedup, 2))))
+            for r in self.rows
+        ]
+        return {"rows": rows, "category_counts": self.category_counts}
+
     def table(self) -> str:
-        header = f"{'instance':<28} {'faces':>6} {'category':>9} {'fast ms':>9} {'recursive ms':>13} {'speedup':>8}"
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(
-                f"{r.name:<28} {r.faces:>6} {r.category:>9} "
-                f"{r.fast_s * 1000:>9.2f} {r.recursive_s * 1000:>13.2f} {r.speedup:>8.2f}"
+        """The rows of ``to_dict()`` as a text table, with the category mix."""
+
+        def line(cells) -> str:
+            return " ".join(
+                f"{c:>{w}.2f}" if isinstance(c, float) else f"{c:<{w}}" if i == 0 else f"{c:>{w}}"
+                for i, (c, w) in enumerate(zip(cells, _ROW_WIDTHS.values()))
             )
+
+        header = line(k.replace("_", " ") for k in _ROW_WIDTHS)
+        lines = [header, "-" * len(header)]
+        lines += [line(row.values()) for row in self.to_dict()["rows"]]
         mix = ", ".join(f"{k}={v}" for k, v in self.category_counts.items())
         lines.append(f"instance mix: {mix}")
         return "\n".join(lines)

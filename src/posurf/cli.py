@@ -20,19 +20,13 @@ from .poset import from_hasse, restrict, to_hasse
 from .simplicial import SimplicialComplex, read_facets, simplicial_join, write_facets
 from .surfaces import border, is_k_surface, is_pcm, is_smooth_pcm
 
-_GOLDEN_BENCH = (
-    ("simplex 0", lambda: generate("simplex", 0)),
-    ("simplex 1", lambda: generate("simplex", 1)),
-    ("simplex 3", lambda: generate("simplex", 3)),
-    ("sphere 2", lambda: generate("sphere", 2)),
-    ("disk 6", lambda: generate("disk", 6)),
-    ("annulus 6", lambda: generate("annulus", 6)),
-    ("pinched-sphere", lambda: generate("pinched-sphere")),
-    ("pinched-box 6", lambda: generate("pinched-box", 6)),
-    # non-smooth 3-PCMs: pinched-box 4 is the cone over annulus 4
-    ("pinched-box 4", lambda: generate("pinched-box", 4)),
-    ("suspension of annulus 4", lambda: simplicial_join(generate("annulus", 4), sphere(0))),
-)
+# Each golden instance is a ``generate`` spec, which is also its name. The
+# suspension of annulus 4, built by hand, follows them. Non-smooth 3-PCMs:
+# pinched-box 4 (the cone over annulus 4) and that suspension.
+_GOLDEN_BENCH = ("simplex 0", "simplex 1", "simplex 3", "sphere 2", "disk 6", "annulus 6",
+                 "pinched-sphere", "pinched-box 6", "pinched-box 4")
+
+_CLASSIFIERS = {"fast": classify_fast, "recursive": classify_recursive, "both": classify_both}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,16 +46,31 @@ def _read_text(path: str | None) -> str:
 
 
 def _load(args):
-    """Returns (the complex or None, the parsed complex or poset)."""
+    """The parsed complex or poset."""
     text = _read_text(args.file)
-    if args.format == "facets":
-        k = read_facets(text)
-        return k, k
-    return None, from_hasse(text)
+    return read_facets(text) if args.format == "facets" else from_hasse(text)
 
 
 def _poset(obj):
     return obj.face_poset() if isinstance(obj, SimplicialComplex) else obj
+
+
+def _complex(obj) -> SimplicialComplex:
+    if not isinstance(obj, SimplicialComplex):
+        raise DomainError("pseudomanifold checks require facet input")
+    return obj
+
+
+# Each ``check`` flag: the Classification field whose line it prints, and
+# its recognizer, which returns a bool or a verdict whose rank is set when
+# it holds.
+_CHECKS = {
+    "surface": ("is_surface", lambda obj: is_k_surface(_poset(obj))),
+    "pcm": ("is_pcm", lambda obj: is_pcm(_poset(obj))),
+    "smooth": ("is_smooth_pcm", lambda obj: is_smooth_pcm(_poset(obj))),
+    "pseudomanifold": ("is_pseudomanifold", lambda obj: _complex(obj).is_pseudomanifold()),
+    "normal": ("is_normal_pseudomanifold", lambda obj: _complex(obj).is_normal_pseudomanifold()),
+}
 
 
 def _faces_by_rank(obj) -> dict[str, int]:
@@ -73,14 +82,15 @@ def _faces_by_rank(obj) -> dict[str, int]:
     return {str(r): counts[r] for r in sorted(counts)}
 
 
-def _word(v) -> str:
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    return "not evaluated" if v is None else str(v)
+def _verdict_line(name: str, value) -> str:
+    """The report line of one Classification field, such as 'smooth pcm: yes'."""
+    if isinstance(value, bool) or value is None:
+        value = "not evaluated" if value is None else "yes" if value else "no"
+    return f"{name.removeprefix('is_').replace('_', ' ')}: {value}"
 
 
 def _cmd_gen(args) -> int:
-    obj = generate(args.name, *args.params, seed=args.seed)
+    obj = generate(args.name, *args.params)
     if isinstance(obj, SimplicialComplex):
         fmt = args.format or "facets"
         text = write_facets(obj) if fmt == "facets" else to_hasse(obj.face_poset())
@@ -97,20 +107,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    k, obj = _load(args)
-    mode = args.mode
-    if mode is None:
-        mode = "fast" if k is not None else "recursive"
-    if mode == "recursive":
-        cls = classify_recursive(obj)
-    elif mode == "fast":
-        if k is None:
-            raise DomainError("fast classification requires facet input (a simplicial complex)")
-        cls = classify_fast(k)
-    else:
-        if k is None:
-            raise DomainError("mode 'both' requires facet input (a simplicial complex)")
-        cls = classify_both(k)
+    obj = _load(args)
+    mode = args.mode or ("fast" if isinstance(obj, SimplicialComplex) else "recursive")
+    cls = _CLASSIFIERS[mode](obj)
     report = {
         "command": "classify",
         "input": args.file or "-",
@@ -128,14 +127,14 @@ def _cmd_classify(args) -> int:
         meta = report["instance"]
         print(f"instance: {meta['total_faces']} faces, by rank {meta['faces_by_rank']}")
         for name in VERDICT_FIELDS:
-            print(f"{name.removeprefix('is_').replace('_', ' ')}: {_word(getattr(cls, name))}")
+            print(_verdict_line(name, getattr(cls, name)))
         print(f"category: {cls.category}")
         print(f"path: {cls.path}")
     return 0
 
 
 def _cmd_border(args) -> int:
-    poset = _poset(_load(args)[1])
+    poset = _poset(_load(args))
     decomposition = border(poset)
     sub = restrict(poset, sorted(decomposition.border_faces))
     out = [to_hasse(sub.to_poset()).rstrip("\n")]
@@ -151,31 +150,17 @@ def _cmd_border(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    k, obj = _load(args)
-    if args.surface:
-        v = is_k_surface(_poset(obj))
-        print(f"surface: {'yes' if v.is_surface else 'no'}"
-              + (f" (rank {v.rank})" if v.is_surface else ""))
-    elif args.pcm:
-        v = is_pcm(_poset(obj))
-        print(f"pcm: {'yes' if v.holds else 'no'}" + (f" (rank {v.rank})" if v.holds else ""))
-    elif args.smooth:
-        v = is_smooth_pcm(_poset(obj))
-        print(f"smooth pcm: {'yes' if v.holds else 'no'}"
-              + (f" (rank {v.rank})" if v.holds else ""))
-    elif args.pseudomanifold:
-        if k is None:
-            raise DomainError("pseudomanifold checks require facet input")
-        print(f"pseudomanifold: {'yes' if k.is_pseudomanifold() else 'no'}")
-    else:
-        if k is None:
-            raise DomainError("pseudomanifold checks require facet input")
-        print(f"normal pseudomanifold: {'yes' if k.is_normal_pseudomanifold() else 'no'}")
+    name, recognize = next(check for flag, check in _CHECKS.items() if getattr(args, flag))
+    v = recognize(_load(args))
+    rank = getattr(v, "rank", None)
+    print(_verdict_line(name, v if isinstance(v, bool) else rank is not None)
+          + (f" (rank {rank})" if rank is not None else ""))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    instances = [(name, fn()) for name, fn in _GOLDEN_BENCH]
+    instances = [(spec, generate(*spec.split())) for spec in _GOLDEN_BENCH]
+    instances.append(("suspension of annulus 4", simplicial_join(generate("annulus", 4), sphere(0))))
     for n in range(args.max_sphere + 1):
         instances.append((f"sphere {n}", sphere(n)))
     for i in range(args.random):
@@ -188,26 +173,7 @@ def _cmd_bench(args) -> int:
         )
     report = cross_check(instances)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "bench",
-                    "rows": [
-                        {
-                            "instance": r.name,
-                            "faces": r.faces,
-                            "category": r.category,
-                            "fast_ms": round(r.fast_s * 1000, 3),
-                            "recursive_ms": round(r.recursive_s * 1000, 3),
-                            "speedup": round(r.speedup, 2),
-                        }
-                        for r in report.rows
-                    ],
-                    "category_counts": report.category_counts,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({"command": "bench", **report.to_dict()}, indent=2))
     else:
         print(report.table())
     return 0
@@ -222,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("params", nargs="*", type=int)
     p_gen.add_argument("-o", "--output")
     p_gen.add_argument("--format", choices=["facets", "hasse"])
-    p_gen.add_argument("--seed", type=int)
     p_gen.set_defaults(func=_cmd_gen)
 
     def add_input(p):

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .poset import MAX_POSET_FACES, Poset
+from .poset import Poset, check_poset_faces
 from .simplicial import MAX_FACES, SimplicialComplex, refuse_faces, simplicial_join
 
 __all__ = [
@@ -122,10 +122,7 @@ def khalimsky_block(w: int, h: int) -> Poset:
     """
     if w < 1 or h < 1:
         raise DomainError("khalimsky block needs w >= 1 and h >= 1")
-    if (2 * w + 1) * (2 * h + 1) > MAX_POSET_FACES:
-        raise DomainError(
-            f"khalimsky {w} {h} has a face count above the limit of {MAX_POSET_FACES}"
-        )
+    check_poset_faces((2 * w + 1) * (2 * h + 1))
     cells = [(x, y) for y in range(2 * h + 1) for x in range(2 * w + 1)]
     idx = {c: i for i, c in enumerate(cells)}
     covers = []
@@ -153,17 +150,18 @@ def random_pure_complex(
     vertex that extends it without putting any ridge under three facets;
     otherwise it draws ``dim + 1`` vertices of the pool.
 
-    An attempt costs time in the facets it touches, not in the whole draw
-    or the pool. Ridge counts are updated as facets are added, and the
-    sorted boundary ridges are rebuilt only after an add. A vertex outside
-    every facet always extends a ridge, since its side ridges are new, so
-    only the used vertices are checked, and the pick is an index into the
-    pool minus the ridge and the used vertices that fail: the same draw as
-    a choice among the candidates in order. The loop stops once
-    ``min(n_facets, C(n_vertices, dim + 1))`` facets are drawn (a full pool
-    takes no more) or after ``50 * n_facets`` attempts, so it may return
-    fewer facets than asked. The facets are exactly those drawn by
-    recounting every ridge on each attempt
+    The pool is never scanned, but each glue attempt checks every used
+    vertex, so on a pool much larger than the draw the time grows with the
+    square of the facets drawn. Ridge counts are updated as facets are
+    added, and the sorted boundary ridges are rebuilt only after an add. A
+    vertex outside every facet always extends a ridge, since its side
+    ridges are new, so only the used vertices are checked, and the pick is
+    an index into the pool minus the ridge and the used vertices that
+    fail: the same draw as a choice among the candidates in order. The
+    loop stops once ``min(n_facets, C(n_vertices, dim + 1))`` facets are
+    drawn (a full pool takes no more) or after ``50 * n_facets`` attempts,
+    so it may return fewer facets than asked. The facets are exactly those
+    drawn by recounting every ridge on each attempt
     (``tests/oracles.py::random_pure_by_recount``).
 
     Raises DomainError before drawing when that many facets could have more
@@ -237,21 +235,18 @@ def random_pure_complex(
 class _Entry:
     fn: object
     params: tuple[str, ...]
-    doc: str
     takes_seed: bool = False
 
 
 _REGISTRY: dict[str, _Entry] = {
-    "simplex": _Entry(solid_simplex, ("n",), "full n-simplex"),
-    "sphere": _Entry(sphere, ("n",), "boundary of the (n+1)-simplex"),
-    "disk": _Entry(disk, ("m",), "cone over an m-cycle"),
-    "annulus": _Entry(annulus, ("m",), "two m-cycles, 2m triangles"),
-    "pinched-sphere": _Entry(pinched_sphere, (), "icosahedron with antipodes identified"),
-    "pinched-box": _Entry(pinched_box, ("m",), "cone over the m-annulus"),
-    "khalimsky": _Entry(khalimsky_block, ("w", "h"), "cubical w x h block (poset)"),
-    "random-pure": _Entry(
-        random_pure_complex, ("dim", "vertices", "facets"), "seeded random pure complex", True
-    ),
+    "simplex": _Entry(solid_simplex, ("n",)),
+    "sphere": _Entry(sphere, ("n",)),
+    "disk": _Entry(disk, ("m",)),
+    "annulus": _Entry(annulus, ("m",)),
+    "pinched-sphere": _Entry(pinched_sphere, ()),
+    "pinched-box": _Entry(pinched_box, ("m",)),
+    "khalimsky": _Entry(khalimsky_block, ("w", "h")),
+    "random-pure": _Entry(random_pure_complex, ("dim", "vertices", "facets"), True),
 }
 
 
@@ -259,24 +254,18 @@ def generator_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def generate(name: str, *params: int, seed: int | None = None):
+def generate(name: str, *params: int):
     """Build a named instance: a SimplicialComplex, or a Poset for cubical ones.
 
-    ``name`` is followed by the generator's integer parameters. For the
-    random family the seed may be given as the last positional parameter
-    or via ``seed=``.
+    ``name`` is followed by the generator's integer parameters. The random
+    family takes its seed as an optional last parameter (default 0).
     """
     entry = _REGISTRY.get(name)
     if entry is None:
         raise DomainError(f"unknown generator {name!r}; known: {', '.join(generator_names())}")
     params = tuple(int(p) for p in params)
     arity = len(entry.params)
-    if entry.takes_seed and len(params) == arity + 1:
-        seed = params[-1]
-        params = params[:-1]
-    if len(params) != arity:
-        expected = " ".join(entry.params) or "(none)"
-        raise DomainError(f"generator {name!r} expects parameters: {expected}")
-    if entry.takes_seed:
-        return entry.fn(*params, seed=seed if seed is not None else 0)
+    if len(params) != arity and not (entry.takes_seed and len(params) == arity + 1):
+        expected = " ".join(entry.params) + (" [seed]" if entry.takes_seed else "")
+        raise DomainError(f"generator {name!r} expects parameters: {expected or '(none)'}")
     return entry.fn(*params)

@@ -1,11 +1,13 @@
 """CLI: subcommands, piping, exit codes, report schema."""
 
+import dataclasses
 import io
 import json
 import subprocess
 import sys
 import time
 
+import posurf.classify as classify_module
 from posurf import SimplicialComplex, annulus, classify_both, read_facets, sphere, write_facets
 from posurf.cli import main
 
@@ -242,8 +244,9 @@ def test_usage_errors_exit_1(capsys):
 def test_gen_deterministic(capsys):
     a = run_cli(["gen", "random-pure", "2", "8", "6", "42"], capsys=capsys)[1]
     b = run_cli(["gen", "random-pure", "2", "8", "6", "42"], capsys=capsys)[1]
-    c = run_cli(["gen", "random-pure", "2", "8", "6", "--seed", "42"], capsys=capsys)[1]
-    assert a == b == c
+    assert a == b
+    # the seed is the last positional parameter; there is no --seed
+    assert run_cli(["gen", "random-pure", "2", "8", "6", "--seed", "42"], capsys=capsys)[0] == 1
 
 
 def test_gen_random_pure_fails_fast_or_draws_fast(capsys):
@@ -292,6 +295,29 @@ def test_classify_counts_faces_without_the_face_poset(capsys, monkeypatch):
     assert code == 0
     instance = json.loads(out)["instance"]
     assert instance == {"total_faces": 14, "faces_by_rank": {"0": 4, "1": 6, "2": 4}}
+
+
+def test_cross_check_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a recursive path that flips one verdict must fail classify --mode both
+    # and bench with exit code 2, and bench dumps the instance
+    real = classify_module.classify_recursive
+
+    def flipped(obj):
+        cls = real(obj)
+        return dataclasses.replace(cls, is_surface=not cls.is_surface)
+
+    monkeypatch.setattr(classify_module, "classify_recursive", flipped)
+    code, out, err = run_cli(
+        ["classify", "--mode", "both", "-"],
+        stdin_text=write_facets(sphere(2)),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2 and out == "" and "cross-check failure" in err
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["bench", "--max-sphere", "0", "--random", "0"], capsys=capsys)
+    assert code == 2 and "cross-check failure" in err
+    assert len(list(tmp_path.glob("crosscheck-*.facets"))) == 1
 
 
 def test_bench_small(capsys):

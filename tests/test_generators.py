@@ -43,9 +43,11 @@ def test_generate_dispatch():
     assert isinstance(generate("sphere", 2), SimplicialComplex)
     assert isinstance(generate("khalimsky", 2, 2), Poset)
     assert generate("disk", 5) == disk(5)
-    r1 = generate("random-pure", 2, 8, 5, 42)
-    r2 = generate("random-pure", 2, 8, 5, seed=42)
-    assert r1 == r2
+    # the seed is the optional last parameter, and the only route to it
+    assert generate("random-pure", 2, 8, 5, 42) == random_pure_complex(2, 8, 5, seed=42)
+    assert generate("random-pure", 2, 8, 5) == random_pure_complex(2, 8, 5, seed=0)
+    with pytest.raises(TypeError):
+        generate("random-pure", 2, 8, 5, seed=42)
 
 
 def test_generate_errors():

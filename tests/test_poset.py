@@ -22,7 +22,14 @@ from posurf import (
     to_hasse,
 )
 from posurf import poset as poset_module
-from posurf.poset import SuborderView, component_masks, content_lines, iter_bits, view_rank
+from posurf.poset import (
+    SuborderView,
+    as_view,
+    component_masks,
+    content_lines,
+    iter_bits,
+    view_rank,
+)
 
 from .conftest import antichain_poset, chain_poset
 from . import oracles
@@ -51,6 +58,31 @@ def test_rejects_non_integer_cover_ids():
         Poset([[], [0.7]])
     with pytest.raises(DomainError, match="integer face ids"):
         Poset([[], ["0"]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, v: Poset([[], [0]], ["a"]), "labels length does not match face count"),
+        (lambda p, v: SuborderView(p, 1 << len(p)), "view members outside the ambient poset"),
+        (lambda p, v: SuborderView(p, -1), "view members outside the ambient poset"),
+        (lambda p, v: as_view(object()), "expected a Poset or SuborderView, got object"),
+        (lambda p, v: restrict(v, [0, 2]), "face 2 is not a member of the poset/view"),
+        (lambda p, v: theta_view(v, 2), "face 2 is not a member of the poset/view"),
+        (lambda p, v: rank(v, 2), "face 2 is not a member of the view"),
+        (lambda p, v: p.label(len(p)), "unknown face id 3"),
+    ],
+    ids=["labels", "mask-above", "mask-negative", "as-view", "restrict", "theta-view", "rank",
+         "label"],
+)
+def test_outside_input_is_refused(call, message):
+    # v is the view of faces 0 and 1 of the chain 0 < 1 < 2: face 2 is in
+    # the poset but not in the view
+    p = chain_poset(3)
+    v = SuborderView(p, 0b011)
+    with pytest.raises(DomainError) as e:
+        call(p, v)
+    assert str(e.value) == message
 
 
 def test_poset_budget_boundary(monkeypatch):
@@ -379,6 +411,16 @@ def test_hasse_parse_errors():
     with pytest.raises(ParseError, match="duplicate rank line") as e:
         from_hasse("rank 5\nrank 1\nf 0 :\nf 1 : 0\n")  # only the last rank holds
     assert "line 2" in str(e.value)
+    for text, message in [
+        ("f 0 :\nrank 1 2\n", "line 2: malformed rank line"),
+        ("f 0 :\n\nrank one\n", "line 3: rank is not an integer: 'one'"),
+        ("f 0 :\nf 1\n", "line 2: face record needs at least 'f <id> :'"),
+        ("f 0 :\nf 1 : 0 x\n", "line 2: covered ids must be integers"),
+        ("f 0 :\n# note\ng 1 :\n", "line 3: unknown record 'g'"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            from_hasse(text)
+        assert str(e.value) == message
 
 
 def test_hasse_comments_and_blanks():
