@@ -110,7 +110,7 @@ def classify_recursive(obj) -> Classification:
     border_empty = r < 0 or _timed(timings, "border", lambda: border_mask_of(view) == 0)
     cls = Classification(
         rank=r,
-        is_surface=sv.is_surface,
+        is_surface=sv.holds,
         is_pcm=pv.holds,
         is_smooth_pcm=mv.holds,
         border_empty=border_empty,
@@ -176,7 +176,10 @@ def _disagreements(fast: Classification, recursive: Classification) -> list[str]
 
 
 def classify_both(k) -> Classification:
-    """Run both paths on one complex; any disagreement raises, never reconciles."""
+    """Run both paths on one complex; any disagreement raises, never reconciles.
+
+    The pseudomanifold fields are reported, not compared: both paths read
+    them from the same ``SimplicialComplex`` methods, cached on ``k``."""
     fast = classify_fast(k)
     recursive = classify_recursive(k)
     issues = _disagreements(fast, recursive)
@@ -259,7 +262,9 @@ def cross_check(
     """Run both classifiers over named complexes and compare.
 
     On any disagreement the offending instance is written out as a facet
-    file for triage and a CrossCheckError is raised.
+    file for triage and a CrossCheckError is raised. The pseudomanifold
+    fields come from the same ``SimplicialComplex`` methods on both paths,
+    so they are not cross-checked; tests hold them to their definitions.
     """
     rows = []
     for name, k in instances:

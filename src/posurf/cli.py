@@ -143,7 +143,7 @@ def _cmd_border(args) -> int:
         f"{len(decomposition.components)} component(s)"
     )
     for i, (faces, verdict) in enumerate(decomposition.components):
-        status = f"{verdict.rank}-surface" if verdict.is_surface else "not a surface"
+        status = f"{verdict.rank}-surface" if verdict.holds else "not a surface"
         out.append(f"# component {i}: {len(faces)} faces, {status}")
     print("\n".join(out))
     return 0

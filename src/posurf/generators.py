@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -150,18 +151,19 @@ def random_pure_complex(
     vertex that extends it without putting any ridge under three facets;
     otherwise it draws ``dim + 1`` vertices of the pool.
 
-    The pool is never scanned, but each glue attempt checks every used
-    vertex, so on a pool much larger than the draw the time grows with the
-    square of the facets drawn. Ridge counts are updated as facets are
-    added, and the sorted boundary ridges are rebuilt only after an add. A
-    vertex outside every facet always extends a ridge, since its side
-    ridges are new, so only the used vertices are checked, and the pick is
-    an index into the pool minus the ridge and the used vertices that
-    fail: the same draw as a choice among the candidates in order. The
-    loop stops once ``min(n_facets, C(n_vertices, dim + 1))`` facets are
-    drawn (a full pool takes no more) or after ``50 * n_facets`` attempts,
-    so it may return fewer facets than asked. The facets are exactly those
-    drawn by recounting every ridge on each attempt
+    The pool is never scanned. Each ridge keeps the apexes of the facets
+    over it (the vertex each adds to it), and each face two below a facet
+    keeps the vertices x for which face + x is under two facets or more. A
+    vertex v outside a boundary ridge R fails exactly when it is the apex
+    of R's one facet or some (R - u) + v is already under two facets, so
+    an attempt reads the vertices that fail from R's neighbourhood alone.
+    The boundary ridges are kept sorted as facets are added, and the pick
+    is an index into the pool minus R and the vertices that fail: the same
+    draw as a choice among the candidates in order. The loop stops once
+    ``min(n_facets, C(n_vertices, dim + 1))`` facets are drawn (a full pool
+    takes no more) or after ``50 * n_facets`` attempts, so it may return
+    fewer facets than asked. The facets are exactly those drawn by
+    recounting every ridge on each attempt
     (``tests/oracles.py::random_pure_by_recount``).
 
     Raises DomainError before drawing when that many facets could have more
@@ -180,20 +182,24 @@ def random_pure_complex(
     rng = random.Random(seed)
     pool = range(n_vertices)
     facets: set[tuple[int, ...]] = set()
-    ridge_counts: dict[tuple[int, ...], int] = {}
-    used: set[int] = set()  # the vertices of the facets
-    boundary = None  # sorted ridges under exactly one facet, until the next add
+    apexes: dict[tuple[int, ...], list[int]] = {}  # ridge -> apex of each facet over it
+    doubled: dict[tuple[int, ...], set[int]] = {}  # face -> each x, face + x under 2+ facets
+    boundary: list[tuple[int, ...]] = []  # sorted ridges under exactly one facet
 
     def add(f: tuple[int, ...]) -> None:
-        nonlocal boundary
         if f in facets:
             return
         facets.add(f)
-        for i in range(len(f)):
+        for i, apex in enumerate(f):
             r = f[:i] + f[i + 1 :]
-            ridge_counts[r] = ridge_counts.get(r, 0) + 1
-        used.update(f)
-        boundary = None
+            over = apexes.setdefault(r, [])
+            over.append(apex)
+            if len(over) == 1:
+                insort(boundary, r)
+            elif len(over) == 2:
+                del boundary[bisect_left(boundary, r)]
+                for j, x in enumerate(r):
+                    doubled.setdefault(r[:j] + r[j + 1 :], set()).add(x)
 
     add(tuple(sorted(rng.sample(pool, dim + 1))))
     attempts = 0
@@ -203,20 +209,12 @@ def random_pure_complex(
             # glue onto a ridge with exactly one coface, and only in ways
             # that keep every ridge under two cofaces: growth then looks
             # manifold-like and can close up into a pseudomanifold
-            if boundary is None:
-                boundary = sorted(r for r, c in ridge_counts.items() if c == 1)
             if not boundary:
                 continue
             ridge = rng.choice(boundary)
-            blocked = set(ridge)
-            for v in used - blocked:
-                cand = tuple(sorted((*ridge, v)))
-                if cand in facets or any(
-                    ridge_counts.get(cand[:i] + cand[i + 1 :], 0) > 1
-                    for i in range(dim + 1)
-                    if cand[i] != v
-                ):
-                    blocked.add(v)
+            blocked = {*ridge, *apexes[ridge]}
+            for j in range(dim):
+                blocked.update(doubled.get(ridge[:j] + ridge[j + 1 :], ()))
             if len(blocked) == n_vertices:
                 continue
             # the pick-th vertex of the pool outside ``blocked``

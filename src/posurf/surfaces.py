@@ -36,8 +36,7 @@ from .errors import DomainError
 from .poset import Poset, SuborderView, as_view, component_masks, iter_bits, view_rank
 
 __all__ = [
-    "SurfaceVerdict",
-    "PcmVerdict",
+    "Verdict",
     "BorderDecomposition",
     "is_k_surface",
     "is_coherent",
@@ -46,7 +45,8 @@ __all__ = [
     "is_smooth_pcm",
 ]
 
-NOT_SURFACE = NOT_PCM = -2
+# The rank the recursion returns for a view that is not a surface or PCM.
+NOT_HELD = -2
 
 # Upper bound on the rank of a poset the recursion takes. Each rank nests
 # about two frames (a view, then a join factor of one of its
@@ -98,17 +98,17 @@ class Views:
         return got
 
     def _nbhd(self, h: int, mask: int) -> int:
-        """Surface rank of theta(h) & mask, or NOT_SURFACE, by its join factors."""
+        """Surface rank of theta(h) & mask, or NOT_HELD, by its join factors."""
         a = self.surface(self.alpha[h] & mask)
-        if a == NOT_SURFACE:
-            return NOT_SURFACE
+        if a == NOT_HELD:
+            return NOT_HELD
         b = self.surface(self.beta[h] & mask)
-        if b == NOT_SURFACE:
-            return NOT_SURFACE
+        if b == NOT_HELD:
+            return NOT_HELD
         return a + b + 1
 
     def surface(self, mask: int) -> int:
-        """Surface rank of the view, or NOT_SURFACE.
+        """Surface rank of the view, or NOT_HELD.
 
         The recursion over the definition: the empty order is the
         (-1)-surface; exactly two mutually non-adjacent faces form the
@@ -134,12 +134,12 @@ class Views:
             if count == 0:
                 return -1
             top = mask.bit_length() - 1
-            return 0 if count == 2 and not self.theta[top] & mask else NOT_SURFACE
+            return 0 if count == 2 and not self.theta[top] & mask else NOT_HELD
         got = self._surfaces.get(mask)
         if got is not None:
             return got
         low = (mask & -mask).bit_length() - 1
-        result = NOT_SURFACE
+        result = NOT_HELD
         if self.connected(mask):
             k = self._nbhd(low, mask)
             if k >= 0:
@@ -177,7 +177,7 @@ class Views:
         return got
 
     def pcm(self, mask: int, smooth: bool = False) -> int:
-        """(Smooth) PCM rank of the view, or NOT_PCM.
+        """(Smooth) PCM rank of the view, or NOT_HELD.
 
         Base cases: the empty order is the (-1)-PCM and a singleton the
         0-PCM. For rank n >= 1 the view must be connected with a nonempty
@@ -197,7 +197,7 @@ class Views:
         got = memo.get(mask)
         if got is not None:
             return got
-        result = NOT_PCM
+        result = NOT_HELD
         # a connected view of two or more faces has rank n >= 1
         if self.connected(mask):
             n = self.rank(mask)
@@ -228,40 +228,33 @@ class Views:
 
 
 @dataclass(frozen=True)
-class SurfaceVerdict:
-    """Outcome of the surface recognizer on one suborder view.
+class Verdict:
+    """Outcome of a recognizer: ``rank`` is the k for which the view is a
+    k-surface or k-PCM (possibly -1 for the empty order), and None when
+    the definition holds at no rank."""
 
-    ``rank`` is the k for which the view is a k-surface (possibly -1 for
-    the empty order) and is absent when ``is_surface`` is false.
-    """
-
-    is_surface: bool
     rank: int | None
 
-    @classmethod
-    def of(cls, views: Views, mask: int) -> "SurfaceVerdict":
-        r = views.surface(mask)
-        return cls(r != NOT_SURFACE, None if r == NOT_SURFACE else r)
+    @property
+    def holds(self) -> bool:
+        return self.rank is not None
 
 
-def is_k_surface(obj: "Poset | SuborderView") -> SurfaceVerdict:
+def _verdict(rank: int) -> Verdict:
+    """The verdict of a rank the recursion returned."""
+    return Verdict(None if rank == NOT_HELD else rank)
+
+
+def is_k_surface(obj: "Poset | SuborderView") -> Verdict:
     """Run the recursive surface recognizer on a poset or suborder view."""
     view = as_view(obj)
-    return SurfaceVerdict.of(Views(view.ambient), view.mask)
+    return _verdict(Views(view.ambient).surface(view.mask))
 
 
 def is_coherent(obj: "Poset | SuborderView") -> bool:
     """True when every strict neighborhood drops rank by exactly one, recursively."""
     view = as_view(obj)
     return Views(view.ambient).coherent(view.mask)
-
-
-@dataclass(frozen=True)
-class PcmVerdict:
-    """Outcome of a PCM recognizer; ``rank`` is set only when it holds."""
-
-    holds: bool
-    rank: int | None
 
 
 @dataclass(frozen=True)
@@ -274,7 +267,7 @@ class BorderDecomposition:
 
     border_faces: frozenset[int]
     interior_faces: frozenset[int]
-    components: tuple[tuple[frozenset[int], SurfaceVerdict], ...]
+    components: tuple[tuple[frozenset[int], Verdict], ...]
 
     @property
     def is_empty(self) -> bool:
@@ -301,21 +294,17 @@ def border(obj: "Poset | SuborderView") -> BorderDecomposition:
         border_faces=frozenset(iter_bits(bmask)),
         interior_faces=frozenset(iter_bits(view.mask & ~bmask)),
         components=tuple(
-            (frozenset(iter_bits(cm)), SurfaceVerdict.of(views, cm))
+            (frozenset(iter_bits(cm)), _verdict(views.surface(cm)))
             for cm in component_masks(view.ambient, bmask)
         ),
     )
 
 
-def _pcm_verdict(obj: "Poset | SuborderView", smooth: bool) -> PcmVerdict:
+def is_pcm(obj: "Poset | SuborderView") -> Verdict:
     view = as_view(obj)
-    r = Views(view.ambient).pcm(view.mask, smooth)
-    return PcmVerdict(r != NOT_PCM, None if r == NOT_PCM else r)
+    return _verdict(Views(view.ambient).pcm(view.mask))
 
 
-def is_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
-    return _pcm_verdict(obj, smooth=False)
-
-
-def is_smooth_pcm(obj: "Poset | SuborderView") -> PcmVerdict:
-    return _pcm_verdict(obj, smooth=True)
+def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
+    view = as_view(obj)
+    return _verdict(Views(view.ambient).pcm(view.mask, smooth=True))

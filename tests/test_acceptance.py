@@ -48,15 +48,8 @@ from .test_propositions import (
     check_pure,
     pcm_posets,
 )
-from .test_propositions import (
-    test_border_beta_equality_on_simplicial_pcms,
-    test_border_rank_and_closure_on_simplicial_pcms,
-    test_join_pcm_with_pcm_is_pcm,
-    test_join_pcm_with_surface_is_pcm_with_border_formula,
-    test_link_of_border_face_matches_border_of_link,
-    test_openings_in_simplicial_pcms_split_by_border,
-)
-from .test_simplicial import test_link_coface_isomorphism
+# imported as modules, so that pytest collects their tests only at home
+from . import test_propositions, test_simplicial
 
 
 def _passed(criterion: int, message: str) -> None:
@@ -78,13 +71,13 @@ def test_criterion_1_golden_verdict_table():
     assert cls.rank == 2 and cls.is_pcm and cls.is_smooth_pcm and not cls.is_surface
     d = border(disk(6).face_poset())
     assert len(d.components) == 1
-    assert d.components[0][1].is_surface and d.components[0][1].rank == 1
+    assert d.components[0][1].holds and d.components[0][1].rank == 1
 
     cls = classify_recursive(annulus(6))
     assert cls.rank == 2 and cls.is_pcm and cls.is_smooth_pcm
     d = border(annulus(6).face_poset())
     assert len(d.components) == 2
-    assert all(v.is_surface and v.rank == 1 for _, v in d.components)
+    assert all(v.holds and v.rank == 1 for _, v in d.components)
     from posurf import is_separated_union
 
     a, b = (c for c, _ in d.components)
@@ -184,13 +177,13 @@ def test_criterion_3_proposition_suite():
         if len(p) and is_coherent(p):
             assert not check_border_neighborhood_equality(p), name
 
-    test_border_beta_equality_on_simplicial_pcms(complexes)
-    test_border_rank_and_closure_on_simplicial_pcms(complexes)
-    test_openings_in_simplicial_pcms_split_by_border(complexes)
-    test_link_of_border_face_matches_border_of_link(complexes)
-    test_link_coface_isomorphism(complexes)
-    test_join_pcm_with_surface_is_pcm_with_border_formula()
-    test_join_pcm_with_pcm_is_pcm()
+    test_propositions.test_border_beta_equality_on_simplicial_pcms(complexes)
+    test_propositions.test_border_rank_and_closure_on_simplicial_pcms(complexes)
+    test_propositions.test_openings_in_simplicial_pcms_split_by_border(complexes)
+    test_propositions.test_link_of_border_face_matches_border_of_link(complexes)
+    test_simplicial.test_link_coface_isomorphism(complexes)
+    test_propositions.test_join_pcm_with_surface_is_pcm_with_border_formula()
+    test_propositions.test_join_pcm_with_pcm_is_pcm()
 
     _passed(3, f"propositions hold on {len(complexes)} complexes and {n_pcms} PCMs")
 
@@ -203,7 +196,7 @@ def test_criterion_4_differential_tests(monkeypatch):
     targets = [p for _, p in poset_corpus()] + [k.face_poset() for _, k in complexes]
     for p in targets:
         a, b = memo_on_and_off(monkeypatch, lambda: is_k_surface(p))
-        assert (a.is_surface, a.rank) == (b.is_surface, b.rank)
+        assert (a.holds, a.rank) == (b.holds, b.rank)
         # every strict neighborhood, one by one
         a, b = memo_on_and_off(monkeypatch, lambda: list(map(Views(p).surface, p.theta_masks)))
         assert a == b
@@ -258,7 +251,7 @@ def test_criterion_5_cut_and_glue():
                 ids.add(oracles.face_id(k, {v}))
         equator = restrict(p, sorted(ids))
         v = is_k_surface(equator)
-        assert v.is_surface and v.rank == 1
+        assert v.holds and v.rank == 1
         rest = p.full_mask & ~equator.mask
         comps = list(component_masks(p, rest))
         assert len(comps) == 2
@@ -285,7 +278,7 @@ def test_criterion_5_cut_and_glue():
         assert not reach & interior_b
         union = SuborderView(p, a.mask | b.mask)
         uv = is_k_surface(union)
-        assert uv.is_surface and uv.rank == 2
+        assert uv.holds and uv.rank == 2
     _passed(5, f"{len(cuts)} equatorial cuts, 2 components each, closures smooth 2-PCMs")
 
 

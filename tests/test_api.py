@@ -12,8 +12,8 @@ SUBMODULES = (classify, errors, generators, poset, simplicial, surfaces)
 
 PUBLIC = {
     "BorderDecomposition", "Classification", "CrossCheckError", "CrossCheckReport",
-    "CrossCheckRow", "DomainError", "ParseError", "PcmVerdict", "Poset", "PosurfError",
-    "SimplicialComplex", "SuborderView", "SurfaceVerdict", "annulus", "as_view", "border",
+    "CrossCheckRow", "DomainError", "ParseError", "Poset", "PosurfError",
+    "SimplicialComplex", "SuborderView", "Verdict", "annulus", "as_view", "border",
     "check_condition_C", "classify_both", "classify_fast", "classify_recursive",
     "connected_components", "cross_check", "disk", "from_hasse", "generate", "generator_names",
     "icosahedron", "is_coherent", "is_k_surface", "is_pcm", "is_separated_union",
@@ -26,7 +26,7 @@ PUBLIC = {
 def test_each_public_name_is_exported_once():
     assert len(posurf.__all__) == len(set(posurf.__all__))
     assert set(posurf.__all__) == PUBLIC
-    for name in ("Views", "iter_bits", "NOT_SURFACE", "NOT_PCM", "border_mask_of", "GeneratorSpec"):
+    for name in ("Views", "iter_bits", "NOT_HELD", "border_mask_of", "GeneratorSpec"):
         assert name not in posurf.__all__
 
 
@@ -54,3 +54,5 @@ def test_retired_api_is_gone():
     assert not hasattr(posurf.SuborderView, "face_rank")
     assert not hasattr(posurf.SimplicialComplex, "face_id")
     assert not hasattr(posurf.sphere(1), "_face_ids")
+    for name in ("SurfaceVerdict", "PcmVerdict", "NOT_SURFACE", "NOT_PCM", "_pcm_verdict"):
+        assert not hasattr(surfaces, name), name

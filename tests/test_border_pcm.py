@@ -5,10 +5,10 @@ from hypothesis import given, settings
 
 from posurf import (
     DomainError,
-    PcmVerdict,
     Poset,
     SimplicialComplex,
     SuborderView,
+    Verdict,
     annulus,
     border,
     check_condition_C,
@@ -64,7 +64,7 @@ def test_border_of_disk_is_boundary_cycle():
     # one component: the rim m-cycle, a 1-surface
     assert len(d.components) == 1
     faces, verdict = d.components[0]
-    assert verdict.is_surface and verdict.rank == 1
+    assert verdict.holds and verdict.rank == 1
     # the rim is the closure of the edges not touching the apex
     rim = {i for i in range(len(p)) if "6" not in p.label(i).split(",")}
     assert faces == rim
@@ -75,7 +75,7 @@ def test_border_of_annulus_is_two_circles():
     d = border(p)
     assert len(d.components) == 2
     for faces, verdict in d.components:
-        assert verdict.is_surface and verdict.rank == 1
+        assert verdict.holds and verdict.rank == 1
         assert len(faces) == 12  # 6 vertices + 6 edges per circle
 
 
@@ -91,7 +91,7 @@ def test_khalimsky_3x3_border_is_perimeter_ring():
     assert d.border_faces == perimeter
     assert len(d.components) == 1
     _, verdict = d.components[0]
-    assert verdict.is_surface and verdict.rank == 1
+    assert verdict.holds and verdict.rank == 1
     # cross-check a few faces against the brute definition
     assert d.border_faces == oracles.brute_border(p.cover_lists)
 
@@ -130,7 +130,7 @@ def test_surface_is_never_pcm(complexes):
             continue
         sv = is_k_surface(p)
         pv = is_pcm(p)
-        assert not (sv.is_surface and pv.holds), name
+        assert not (sv.holds and pv.holds), name
 
 
 def test_pcm_matches_brute_oracle(posets, complexes):
@@ -191,8 +191,12 @@ def test_pcm_and_smooth_verdicts_do_not_depend_on_call_order():
     for order in ((is_smooth_pcm, is_pcm), (is_pcm, is_smooth_pcm)):
         p = pinched_box(6).face_poset()
         got = {recognizer: recognizer(p) for recognizer in order}
-        assert got[is_pcm] == PcmVerdict(True, 3)
-        assert got[is_smooth_pcm] == PcmVerdict(False, None)
+        assert got[is_pcm] == Verdict(3)
+        assert got[is_smooth_pcm] == Verdict(None)
+    # a verdict holds exactly when it has a rank, -1 included
+    assert Verdict(-1).holds and not Verdict(None).holds
+    with pytest.raises(TypeError):
+        Verdict(True, 3)
 
 
 def test_smooth_matches_literal_partition_oracle():
@@ -275,7 +279,7 @@ def test_condition_C_fails_exactly_at_apex():
     assert len(comps) == 2
     for c in comps:
         v = is_k_surface(restrict(p, sorted(c)))
-        assert v.is_surface and v.rank == 1
+        assert v.holds and v.rank == 1
 
 
 def test_condition_C_preconditions():

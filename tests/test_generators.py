@@ -111,7 +111,7 @@ def test_annulus_structure():
     d = border(k.face_poset())
     assert len(d.components) == 2
     for faces, verdict in d.components:
-        assert verdict.is_surface and verdict.rank == 1
+        assert verdict.holds and verdict.rank == 1
 
 
 def test_disk_structure():

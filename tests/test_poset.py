@@ -251,7 +251,7 @@ def test_join_identity():
 def test_join_two_point_posets_gives_1_surface():
     j = join(antichain_poset(2), antichain_poset(2))
     v = is_k_surface(j)
-    assert v.is_surface and v.rank == 1
+    assert v.holds and v.rank == 1
 
 
 def test_join_rank_law(posets):
@@ -292,12 +292,12 @@ def test_join_surface_law_exhaustive():
     brute = {id(q): oracles.brute_is_surface(q.cover_lists) for q in left_subs + right_subs}
     for sl in left_subs:
         vl = is_k_surface(sl)
-        assert (vl.is_surface, vl.rank) == brute[id(sl)]
+        assert (vl.holds, vl.rank) == brute[id(sl)]
         for sr in left_subs + right_subs:
             vr = is_k_surface(sr)
             vj = is_k_surface(join(sl, sr))
-            both = vl.is_surface and vr.is_surface
-            assert vj.is_surface == both
+            both = vl.holds and vr.holds
+            assert vj.holds == both
             if both:
                 assert vj.rank == vl.rank + vr.rank + 1
             (ok_l, k_l), (ok_r, k_r) = brute[id(sl)], brute[id(sr)]

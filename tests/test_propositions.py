@@ -36,7 +36,7 @@ def pcm_posets():
     out = []
     for name, p in all_posets():
         v = is_pcm(p)
-        if v.holds and v.rank is not None and v.rank >= 0:
+        if v.holds and v.rank >= 0:
             out.append((name, p, v.rank))
     return out
 
@@ -51,7 +51,7 @@ def check_closures_are_surfaces(k: SimplicialComplex):
     p = k.face_poset()
     for h, f in enumerate(k.faces):
         v = is_k_surface(restrict(p, sorted(local_sets(p, h, "alpha"))))
-        if not (v.is_surface and v.rank == len(f) - 2):
+        if not (v.holds and v.rank == len(f) - 2):
             violations.append((sorted(f), v))
     return violations
 
@@ -67,7 +67,7 @@ def check_interval_surfaces(k: SimplicialComplex):
             inter = local_sets(p, yid, "beta") & below
             v = is_k_surface(restrict(p, sorted(inter)))
             want = (len(x) - 1) - p.face_ranks[yid] - 2
-            if not (v.is_surface and v.rank == want):
+            if not (v.holds and v.rank == want):
                 violations.append((sorted(x), yid, v))
     return violations
 
@@ -118,16 +118,16 @@ def test_pcms_are_pure_and_homogeneous():
 
 def test_surfaces_and_pcms_are_coherent():
     for name, p in all_posets():
-        if is_k_surface(p).is_surface or is_pcm(p).holds or is_smooth_pcm(p).holds:
+        if is_k_surface(p).holds or is_pcm(p).holds or is_smooth_pcm(p).holds:
             assert is_coherent(p), name
 
 
 def test_nothing_is_both_surface_and_pcm_except_empty():
     for name, p in all_posets():
         if len(p) == 0:
-            assert is_k_surface(p).is_surface and is_pcm(p).holds
+            assert is_k_surface(p).holds and is_pcm(p).holds
         else:
-            assert not (is_k_surface(p).is_surface and is_pcm(p).holds), name
+            assert not (is_k_surface(p).holds and is_pcm(p).holds), name
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +141,11 @@ def check_pcm_face_sides(p: Poset, n: int):
         k = p.face_ranks[h]
         down = restrict(p, sorted(iter_bits(p.alpha_masks[h])))
         sv, pv = is_k_surface(down), is_pcm(down)
-        if not ((sv.is_surface and sv.rank == k - 1) or (pv.holds and pv.rank == k - 1)):
+        if not ((sv.holds and sv.rank == k - 1) or (pv.holds and pv.rank == k - 1)):
             violations.append(("alpha", h))
         up = restrict(p, sorted(iter_bits(p.beta_masks[h])))
         sv, pv = is_k_surface(up), is_pcm(up)
-        if not ((sv.is_surface and sv.rank == n - k - 1) or (pv.holds and pv.rank == n - k - 1)):
+        if not ((sv.holds and sv.rank == n - k - 1) or (pv.holds and pv.rank == n - k - 1)):
             violations.append(("beta", h))
     return violations
 
@@ -168,7 +168,7 @@ def test_pcm_interval_rank_and_kind():
                 want = p.face_ranks[a] - p.face_ranks[b] - 2
                 assert rank(sub) == want if len(sub) else want == -1, (name, a, b)
                 sv, pv = is_k_surface(sub), is_pcm(sub)
-                assert sv.is_surface or pv.holds, (name, a, b)
+                assert sv.holds or pv.holds, (name, a, b)
 
 
 def test_join_factor_classification_inside_pcms():
@@ -179,17 +179,17 @@ def test_join_factor_classification_inside_pcms():
             continue
         for h in range(len(p)):
             t = theta_view(p, h)
-            if not is_pcm(t).holds or is_k_surface(t).is_surface:
+            if not is_pcm(t).holds or is_k_surface(t).holds:
                 continue
             m = rank(t)
             down = restrict(p, sorted(iter_bits(p.alpha_masks[h])))
             up = restrict(p, sorted(iter_bits(p.beta_masks[h])))
             sd = is_k_surface(down)
             su = is_k_surface(up)
-            if sd.is_surface:
+            if sd.holds:
                 pv = is_pcm(up)
                 assert pv.holds and pv.rank == m - sd.rank - 1, (name, h)
-            if su.is_surface:
+            if su.holds:
                 pv = is_pcm(down)
                 assert pv.holds and pv.rank == m - su.rank - 1, (name, h)
 
@@ -262,7 +262,7 @@ def test_border_beta_equality_on_simplicial_pcms(complexes):
     for name, k in complexes:
         p = k.face_poset()
         v = is_pcm(p)
-        if not v.holds or v.rank is None or v.rank < 1:
+        if not v.holds or v.rank < 1:
             continue
         bd = border_set(p)
         for h in sorted(bd):
@@ -276,7 +276,7 @@ def test_border_rank_and_closure_on_simplicial_pcms(complexes):
     for name, k in complexes:
         p = k.face_poset()
         v = is_pcm(p)
-        if not v.holds or v.rank is None or v.rank < 1:
+        if not v.holds or v.rank < 1:
             continue
         n = v.rank
         bd = border_set(p)
@@ -295,7 +295,7 @@ def test_border_of_simplicial_pcm_has_no_top_faces(complexes):
     for name, k in complexes:
         p = k.face_poset()
         v = is_pcm(p)
-        if not v.holds or v.rank is None or v.rank < 1:
+        if not v.holds or v.rank < 1:
             continue
         for h in border_set(p):
             assert p.face_ranks[h] < v.rank, name
@@ -326,7 +326,7 @@ def test_openings_in_simplicial_pcms_split_by_border(complexes):
     for name, k in complexes:
         p = k.face_poset()
         v = is_pcm(p)
-        if not v.holds or v.rank is None or v.rank < 1:
+        if not v.holds or v.rank < 1:
             continue
         n = v.rank
         bd = border_set(p)
@@ -338,7 +338,7 @@ def test_openings_in_simplicial_pcms_split_by_border(complexes):
                 assert pv.holds and pv.rank == want, (name, sorted(f))
             else:
                 sv = is_k_surface(up)
-                assert sv.is_surface and sv.rank == want, (name, sorted(f))
+                assert sv.holds and sv.rank == want, (name, sorted(f))
 
 
 def test_link_of_border_face_matches_border_of_link(complexes):
@@ -346,7 +346,7 @@ def test_link_of_border_face_matches_border_of_link(complexes):
     for name, k in complexes:
         p = k.face_poset()
         v = is_pcm(p)
-        if not v.holds or v.rank is None or v.rank < 1:
+        if not v.holds or v.rank < 1:
             continue
         bd = border_set(p)
         border_complex = SimplicialComplex(

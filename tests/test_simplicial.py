@@ -76,11 +76,15 @@ def test_constructor_closes_generators(monkeypatch):
     k = SimplicialComplex([(1, 2), (2, 3, 4)])
     assert set(k.faces) == oracles.powerset_nonempty({1, 2}) | oracles.powerset_nonempty({2, 3, 4})
     assert k.facets == (frozenset({1, 2}), frozenset({2, 3, 4}))
+    assert tuple(k) == k.faces
+    assert repr(k) == "SimplicialComplex(9 faces, dim 2)"
+    assert repr(k.face_poset()) == "Poset(9 faces, rank 2)"
     # duplicate and non-maximal generators change neither the complex nor its
     # facets, and only the two facets count toward the budget (3 + 7 faces)
     monkeypatch.setattr(simplicial, "MAX_FACES", 10)
     again = SimplicialComplex([(3, 4), (2, 1), (4, 3, 2), (1, 2), (2,), (2, 3, 4), (4,)])
     assert again == k and again.faces == k.faces and again.facets == k.facets
+    assert hash(again) == hash(k)
     with pytest.raises(DomainError, match="limit of 10"):
         SimplicialComplex([(1, 2), (2, 3, 4), (5,)])
 
@@ -123,7 +127,7 @@ def test_face_poset_rank_equals_dimension(complexes):
 
 def test_face_poset_triangle_boundary_is_hexagon():
     v = is_k_surface(sphere(1).face_poset())
-    assert v.is_surface and v.rank == 1
+    assert v.holds and v.rank == 1
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ def test_link_of_vertex_in_sphere2_is_cycle():
     k = sphere(2)
     lk = k.link({0})
     v = is_k_surface(lk.face_poset())
-    assert v.is_surface and v.rank == 1
+    assert v.holds and v.rank == 1
     assert lk.f_vector() == (3, 3)
 
 
@@ -185,7 +189,7 @@ def test_suspension_of_triangle_boundary_is_2_sphere():
     k = octahedron()
     assert k.dim == 2
     v = is_k_surface(k.face_poset())
-    assert v.is_surface and v.rank == 2
+    assert v.holds and v.rank == 2
     assert k.is_normal_pseudomanifold()
 
 
@@ -373,7 +377,7 @@ def test_icosahedron_structure():
     assert k.is_pseudomanifold() and not len(SimplicialComplex(k.boundary_ridges()))
     assert k.is_normal_pseudomanifold()
     v = is_k_surface(k.face_poset())
-    assert v.is_surface and v.rank == 2
+    assert v.holds and v.rank == 2
     # the two identified vertices are non-adjacent with disjoint links
     assert frozenset({0, 11}) not in k.faces
     assert not set(k.link({0}).vertices) & set(k.link({11}).vertices)

@@ -28,16 +28,16 @@ from . import oracles
 def test_base_cases():
     assert is_k_surface(Poset([])) == is_k_surface(Poset([]))
     v = is_k_surface(Poset([]))
-    assert v.is_surface and v.rank == -1
+    assert v.holds and v.rank == -1
     # a singleton is not a surface
-    assert not is_k_surface(Poset([[]])).is_surface
+    assert not is_k_surface(Poset([[]])).holds
     # two non-adjacent faces form the 0-surface
     v = is_k_surface(antichain_poset(2))
-    assert v.is_surface and v.rank == 0
+    assert v.holds and v.rank == 0
     # two adjacent faces do not
-    assert not is_k_surface(chain_poset(2)).is_surface
+    assert not is_k_surface(chain_poset(2)).holds
     # three isolated points: no
-    assert not is_k_surface(antichain_poset(3)).is_surface
+    assert not is_k_surface(antichain_poset(3)).holds
 
 
 def test_triangle_boundary_is_1_surface():
@@ -45,22 +45,22 @@ def test_triangle_boundary_is_1_surface():
     ok, k = oracles.brute_is_surface(p.cover_lists)
     assert (ok, k) == (True, 1)
     v = is_k_surface(p)
-    assert v.is_surface and v.rank == 1
+    assert v.holds and v.rank == 1
 
 
 def test_sphere_family():
     for n in range(4):
         v = is_k_surface(sphere(n).face_poset())
-        assert v.is_surface and v.rank == n, f"sphere {n}"
+        assert v.holds and v.rank == n, f"sphere {n}"
 
 
 def test_solid_simplex_is_not_a_surface():
     for n in range(4):
-        assert not is_k_surface(solid_simplex(n).face_poset()).is_surface
+        assert not is_k_surface(solid_simplex(n).face_poset()).holds
 
 
 def test_pinched_sphere_is_not_a_surface():
-    assert not is_k_surface(pinched_sphere().face_poset()).is_surface
+    assert not is_k_surface(pinched_sphere().face_poset()).holds
 
 
 def test_surface_matches_brute_oracle(posets, complexes):
@@ -69,18 +69,18 @@ def test_surface_matches_brute_oracle(posets, complexes):
     for p in small:
         expect = oracles.brute_is_surface(p.cover_lists)
         got = is_k_surface(p)
-        assert (got.is_surface, got.rank) == expect
+        assert (got.holds, got.rank) == expect
 
 
 def test_neighborhoods_of_surfaces_are_surfaces(complexes):
     for name, k in complexes:
         p = k.face_poset()
         v = is_k_surface(p)
-        if not v.is_surface:
+        if not v.holds:
             continue
         for h in range(len(p)):
             nv = is_k_surface(theta_view(p, h))
-            assert nv.is_surface and nv.rank == v.rank - 1, (name, h)
+            assert nv.holds and nv.rank == v.rank - 1, (name, h)
 
 
 def test_random_posets_match_brute_oracles():
@@ -91,7 +91,7 @@ def test_random_posets_match_brute_oracles():
 
     from posurf import border, is_pcm, is_smooth_pcm
     from posurf.poset import SuborderView, iter_bits
-    from posurf.surfaces import NOT_SURFACE, Views
+    from posurf.surfaces import NOT_HELD, Views
 
     def check_rank_law(p, mask):
         # rank V = 1 + max rank(theta(h) & V), and a surface's rank is its view's
@@ -99,7 +99,7 @@ def test_random_posets_match_brute_oracles():
         if mask:
             sub = max(views.rank(p.theta_masks[h] & mask) for h in iter_bits(mask))
             assert views.rank(mask) == 1 + sub, (p.cover_lists, mask)
-        assert views.surface(mask) in (NOT_SURFACE, views.rank(mask)), (p.cover_lists, mask)
+        assert views.surface(mask) in (NOT_HELD, views.rank(mask)), (p.cover_lists, mask)
 
     def check_smooth_and_border(p, mask):
         # the smooth test walks the border that Views.border stores, and the
@@ -131,7 +131,7 @@ def test_random_posets_match_brute_oracles():
         p = Poset(covers)
         check_rank_law(p, p.full_mask)
         sv = is_k_surface(p)
-        assert (sv.is_surface, sv.rank) == oracles.brute_is_surface(covers), covers
+        assert (sv.holds, sv.rank) == oracles.brute_is_surface(covers), covers
         pv = is_pcm(p)
         assert (pv.holds, pv.rank) == oracles.brute_is_pcm(covers), covers
         if n and p.rank() >= 0:
@@ -141,7 +141,7 @@ def test_random_posets_match_brute_oracles():
             view = SuborderView(p, rng.randrange(1 << n))
             check_rank_law(p, view.mask)
             sv = is_k_surface(view)
-            assert (sv.is_surface, sv.rank) == oracles.brute_is_surface(covers, view.members)
+            assert (sv.holds, sv.rank) == oracles.brute_is_surface(covers, view.members)
             pv = is_pcm(view)
             assert (pv.holds, pv.rank) == oracles.brute_is_pcm(covers, view.members)
             check_smooth_and_border(p, view.mask)
@@ -151,7 +151,7 @@ def test_memoized_vs_unmemoized_agree(posets, complexes, monkeypatch):
     targets = [p for _, p in posets] + [k.face_poset() for _, k in complexes]
     for p in targets:
         with_memo, without = memo_on_and_off(monkeypatch, lambda: is_k_surface(p))
-        assert (with_memo.is_surface, with_memo.rank) == (without.is_surface, without.rank)
+        assert (with_memo.holds, with_memo.rank) == (without.holds, without.rank)
         coherent, coherent_without = memo_on_and_off(monkeypatch, lambda: is_coherent(p))
         assert coherent == coherent_without
 
@@ -200,7 +200,7 @@ def test_a_poset_too_deep_for_the_recursion_is_refused(monkeypatch):
     deepest = chain_poset(MAX_RANK + 1)
     for env in ("", "1"):
         monkeypatch.setenv("POSURF_DISABLE_MEMO", env)
-        assert not is_k_surface(deepest).is_surface
+        assert not is_k_surface(deepest).holds
         assert border_mask_of(deepest) == deepest.full_mask
     too_deep = chain_poset(MAX_RANK + 2)
     for recognizer in (is_k_surface, is_coherent, border_mask_of, is_pcm, classify_recursive):
@@ -216,7 +216,7 @@ def test_coherence_cases(posets, complexes):
     # every verified surface is coherent
     for name, k in complexes:
         p = k.face_poset()
-        if is_k_surface(p).is_surface:
+        if is_k_surface(p).holds:
             assert is_coherent(p), name
     # empty poset is coherent; isolated point adjoined to a triangle is not
     assert is_coherent(Poset([]))
@@ -241,7 +241,7 @@ def test_concurrent_readers_see_consistent_verdicts():
 
     def worker():
         v = is_k_surface(p)
-        results.append((v.is_surface, v.rank))
+        results.append((v.holds, v.rank))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -261,4 +261,4 @@ def test_join_of_surfaces_ranks():
     for k, a in surfaces.items():
         for l, b in surfaces.items():
             v = is_k_surface(join(a, b))
-            assert v.is_surface and v.rank == k + l + 1
+            assert v.holds and v.rank == k + l + 1
