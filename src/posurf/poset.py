@@ -21,6 +21,7 @@ correct value, so concurrent readers cannot observe an inconsistency.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -34,6 +35,7 @@ __all__ = [
     "theta_view",
     "local_sets",
     "rank",
+    "is_coherent",
     "connected_components",
     "join",
     "is_separated_union",
@@ -54,18 +56,22 @@ def check_poset_faces(n: int) -> None:
         raise DomainError(f"a poset of {n} faces is above the limit of {MAX_POSET_FACES}")
 
 
+# Every line boundary of str.splitlines, with "\r\n" kept as one.
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, stripped line) for each line of ``text``
     that is not blank once its '#' comment is cut.
 
     The lines and numbers are those of ``text.splitlines()``, read lazily in
     blocks of whole lines of about 64k characters, so a parser that stops
-    early never holds every line at once.
+    early never holds every line at once. Every line boundary ends a block.
     """
     no = start = 0
     while start < len(text):
-        stop = text.find("\n", start + (1 << 16))
-        stop = len(text) if stop < 0 else stop + 1
+        end = _LINE_END.search(text, start + (1 << 16))
+        stop = end.end() if end else len(text)
         for raw in text[start:stop].splitlines():
             no += 1
             line = raw.split("#", 1)[0].strip()
@@ -296,6 +302,29 @@ def view_rank(poset: Poset, mask: int) -> int:
     if mask == poset.full_mask:
         return poset.rank()
     return max(view_face_ranks(poset, mask).values(), default=-1)
+
+
+def is_coherent(obj: "Poset | SuborderView") -> bool:
+    """True when the view is graded: every maximal chain has rank + 1 faces.
+
+    Coherence asks each strict neighborhood of a rank-n view to be a
+    coherent view of rank n - 1. Unrolled, a view V of rank n is coherent
+    iff, for every chain S of V, the faces of V - S comparable to all of S
+    form a view of rank n - |S|. If V is graded, extending S to a maximal
+    chain shows this. Conversely, take S to be a maximal chain: no other
+    face is comparable to all of it, so |S| = n + 1. V is graded iff each
+    cover inside V raises the face rank by one and each maximal face has
+    rank n; both are read off the view as a standalone poset (``to_poset``).
+    """
+    view = as_view(obj)
+    p = view.ambient if view.mask == view.ambient.full_mask else view.to_poset()
+    ranks, alpha, beta = p.face_ranks, p.alpha_masks, p.beta_masks
+    # a listed cover c of h with a face between them is no cover
+    return all(
+        (r == p.rank() or beta[h])
+        and all(ranks[c] == r - 1 for c in p.cover_lists[h] if not beta[c] & alpha[h])
+        for h, r in enumerate(ranks)
+    )
 
 
 def component_masks(poset: Poset, mask: int) -> Iterator[int]:

@@ -1,16 +1,16 @@
 """The recognizers' one recursion over suborder views.
 
 ``Views(poset)`` decides, for any member bitmask of the poset, its rank,
-whether it is connected, whether it is a discrete surface, whether it is
-coherent, its border, and whether it is a PCM or a smooth PCM. Each answer
-is memoized under the bitmask in one of the poset's named memos
-(``view_rank``, ``connected``, ``surface``, ``coherent``, ``border``,
-``pcm``, ``smooth``), so every recognizer run on one poset shares the work
-of the others. The exceptions are the views that a bit test decides, which
-are never stored: surface views of at most two faces and PCM views of at
-most one. On a khalimsky block most surface views are that small, and
-each memo key is as wide as the poset, so storing them would cost more
-memory than deciding them again costs time. Setting
+whether it is connected, whether it is a discrete surface, its border,
+and whether it is a PCM or a smooth PCM. Each answer is memoized under
+the bitmask in one of the poset's named memos (``view_rank``,
+``connected``, ``surface``, ``border``, ``pcm``, ``smooth``), so every
+recognizer run on one poset shares the work of the others. The
+exceptions are the views that a bit test decides, which are never
+stored: surface views of at most two faces and PCM views of at most one.
+On a khalimsky block most surface views are that small, and each memo
+key is as wide as the poset, so storing them would cost more memory than
+deciding them again costs time. Setting
 ``POSURF_DISABLE_MEMO`` to 1, true or yes turns every memo into one that
 never stores, and each call then recomputes from the definitions
 (differential debugging); the switch is read when a ``Views`` is made,
@@ -22,7 +22,7 @@ Python's frame limit. The surface and border tests split each strict
 neighborhood into its two join factors, the strict closure and the strict
 opening (see ``Views.surface``). The PCM and smooth PCM tests are one walk
 over the border that ``Views.border`` computes (see ``Views.pcm``). Only
-coherence, border and PCM tests compute ranks. The border of a rank-n view
+the border and PCM tests compute ranks. The border of a rank-n view
 collects the faces whose strict neighborhood is not an (n-1)-surface; the
 interior is the rest.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "Verdict",
     "BorderDecomposition",
     "is_k_surface",
-    "is_coherent",
     "border",
     "is_pcm",
     "is_smooth_pcm",
@@ -62,7 +61,7 @@ class _NoMemo(dict):
 
 
 class Views:
-    """Rank, surface, coherence, border and PCM tests on views of one poset."""
+    """Rank, surface, border and PCM tests on views of one poset."""
 
     def __init__(self, poset: Poset):
         if poset.rank() > MAX_RANK:
@@ -79,7 +78,6 @@ class Views:
         self._ranks = memo("view_rank")
         self._connected = memo("connected")
         self._surfaces = memo("surface")
-        self._coherent = memo("coherent")
         self._borders = memo("border")
         self._pcms = {False: memo("pcm"), True: memo("smooth")}
 
@@ -150,17 +148,6 @@ class Views:
                     result = k + 1
         self._surfaces[mask] = result
         return result
-
-    def coherent(self, mask: int) -> bool:
-        """Every strict neighborhood drops rank by exactly one, recursively."""
-        got = self._coherent.get(mask)
-        if got is None:
-            n = self.rank(mask)
-            got = self._coherent[mask] = all(
-                self.rank(t) == n - 1 and self.coherent(t)
-                for t in (self.theta[h] & mask for h in iter_bits(mask))
-            )
-        return got
 
     def border(self, mask: int) -> int:
         """Bitmask of the faces whose strict neighborhood is not an (n-1)-surface."""
@@ -249,12 +236,6 @@ def is_k_surface(obj: "Poset | SuborderView") -> Verdict:
     """Run the recursive surface recognizer on a poset or suborder view."""
     view = as_view(obj)
     return _verdict(Views(view.ambient).surface(view.mask))
-
-
-def is_coherent(obj: "Poset | SuborderView") -> bool:
-    """True when every strict neighborhood drops rank by exactly one, recursively."""
-    view = as_view(obj)
-    return Views(view.ambient).coherent(view.mask)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,19 @@ def brute_rank(covers, members=None):
     return max(brute_face_rank(covers, h, members) for h in members)
 
 
+def coherent_by_recursion(covers, members=None):
+    """Coherence by its recursive definition: every strict neighborhood of
+    a rank-n view is a coherent view of rank n - 1."""
+    below = strict_below(covers)
+    members = set(range(len(covers))) if members is None else set(members)
+    n = brute_rank(covers, members)
+    for h in members:
+        nbhd = {x for x in members if x in below[h] or h in below[x]}
+        if brute_rank(covers, nbhd) != n - 1 or not coherent_by_recursion(covers, nbhd):
+            return False
+    return True
+
+
 def brute_components(covers, members=None):
     below = strict_below(covers)
     members = set(range(len(covers))) if members is None else set(members)
@@ -319,12 +332,6 @@ def condition_C_by_neighborhoods(k) -> bool:
 
 # ---------------------------------------------------------------------------
 # simplicial-level oracles (raw frozensets; no face poset involved)
-
-
-def enumerate_cofaces(faces, h):
-    """All faces strictly containing h, by direct scan."""
-    h = frozenset(h)
-    return {f for f in faces if h < f}
 
 
 def link_by_faces(k, h) -> set[frozenset]:

@@ -1,5 +1,7 @@
 """Poset core: operators, ranks, components, joins, isomorphism, Hasse IO."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from posurf import (
     Poset,
     connected_components,
     from_hasse,
+    is_coherent,
     is_k_surface,
     is_separated_union,
     join,
@@ -118,6 +121,19 @@ def test_content_lines_match_splitlines_across_blocks():
     want = [(no, raw.split("#")[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
     assert list(content_lines(text)) == [(no, line) for no, line in want if line]
     assert list(content_lines("")) == [] and list(content_lines(" # x\n\n")) == []
+    # every line boundary ends a block, so reading the first line of a
+    # 100k-line text splits one block of about 64k characters, not the text
+    for sep in ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
+        text = "".join(f"{i} 1{sep}" for i in range(100000))
+        want = list(enumerate(text.splitlines(), 1))
+        assert len(want) == 100000 and list(content_lines(text)) == want, repr(sep)
+        tracemalloc.start()
+        try:
+            assert next(content_lines(text)) == (1, "0 1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, repr(sep)
 
 
 def test_empty_poset():
@@ -471,5 +487,9 @@ def test_random_view_rank_matches_oracle(covers, seed):
     mask = seed % (1 << len(p))
     members = list(iter_bits(mask))
     assert view_rank(p, mask) == oracles.brute_rank(covers, members)
+    assert is_coherent(SuborderView(p, mask)) == oracles.coherent_by_recursion(covers, members)
+    # the whole poset is read through its own cover lists, which may list
+    # a face below another listed cover
+    assert is_coherent(p) == oracles.coherent_by_recursion(covers)
     got = [set(iter_bits(m)) for m in component_masks(p, mask)]
     assert got == [set(c) for c in oracles.brute_components(covers, members)]

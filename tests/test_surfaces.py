@@ -159,14 +159,14 @@ def test_memoized_vs_unmemoized_agree(posets, complexes, monkeypatch):
 def test_memo_switch_stores_nothing(monkeypatch):
     from posurf import border, is_pcm, is_smooth_pcm
 
-    names = ("view_rank", "connected", "surface", "coherent", "border", "pcm", "smooth")
+    names = ("view_rank", "connected", "surface", "border", "pcm", "smooth")
     recognizers = (is_k_surface, is_coherent, border, is_pcm, is_smooth_pcm)
     monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
     p = sphere(2).face_poset()
     for recognizer in recognizers:
         recognizer(p)
     assert is_k_surface(p).rank == 2
-    assert [len(p.memo(name)) for name in names] == [0] * 7
+    assert [len(p.memo(name)) for name in names] == [0] * 6
     monkeypatch.delenv("POSURF_DISABLE_MEMO")
     q = sphere(2).face_poset()
     for recognizer in recognizers:
@@ -203,7 +203,9 @@ def test_a_poset_too_deep_for_the_recursion_is_refused(monkeypatch):
         assert not is_k_surface(deepest).holds
         assert border_mask_of(deepest) == deepest.full_mask
     too_deep = chain_poset(MAX_RANK + 2)
-    for recognizer in (is_k_surface, is_coherent, border_mask_of, is_pcm, classify_recursive):
+    # coherence is decided from face ranks, with no recursion
+    assert is_coherent(too_deep)
+    for recognizer in (is_k_surface, border_mask_of, is_pcm, classify_recursive):
         with pytest.raises(DomainError, match=f"rank {MAX_RANK + 1} would nest"):
             recognizer(too_deep)
 
