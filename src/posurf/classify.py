@@ -6,12 +6,13 @@ pseudomanifold test instead: for rank >= 1, a pure complex is a discrete
 surface exactly when it is a normal pseudomanifold with empty border, and
 a PCM exactly when it is a normal pseudomanifold with nonempty border;
 ranks -1 and 0 are decided by the vertex count.
-Normality is decided from star connectivity over the complex's ridge
-index (the facets over each face of codimension >= 2 must be connected
-through ridges over that face), which for a pseudomanifold is equivalent
-to every such link being a pseudomanifold; no link complex is built.
-The border and condition (C), which decides smoothness exactly, are read
-from the boundary ridges; the fast path builds no poset and no complex.
+Normality is decided from star connectivity (the facets over each face
+of codimension >= 2 connected through ridges over it), which for a
+pseudomanifold is every such link being one; no link is built. Each star
+is searched as an induced subgraph of the complex's one facet dual graph,
+built from its one ridge index. Condition (C), which decides smoothness
+exactly, is the same search on the boundary ridges; the fast path builds
+no poset and no complex.
 ``cross_check`` runs both paths over a corpus and fails loudly on any
 disagreement.
 """

@@ -92,7 +92,8 @@ class Poset:
     """Immutable finite poset given by its covering relation.
 
     ``covers[h]`` lists the immediate strict predecessors of face ``h``;
-    the strict order is its transitive closure. Construction rejects
+    the strict order is its transitive closure, and a listed face below
+    another listed face of the same list is dropped. Construction rejects
     cyclic input, so the closure is always a strict partial order. It
     also rejects more than ``MAX_POSET_FACES`` faces, before it reads any
     cover list.
@@ -118,13 +119,14 @@ class Poset:
             if len(label_tuple) != n:
                 raise DomainError("labels length does not match face count")
 
-        self._covers = tuple(cover_lists)
         self._labels = label_tuple
         self._n = n
         self.full_mask = (1 << n) - 1
 
         # One topological pass over the cover DAG gives closures, ranks,
-        # and the acyclicity check.
+        # the acyclicity check, and drops each listed cover below another;
+        # it has a lower rank, so only a face whose covers differ in rank
+        # can list one.
         up: list[list[int]] = [[] for _ in range(n)]
         indeg = [len(cs) for cs in cover_lists]
         for h, cs in enumerate(cover_lists):
@@ -139,10 +141,19 @@ class Poset:
             qi += 1
             a = 0
             r = 0
+            low = n
             for c in cover_lists[h]:
                 a |= alpha[c] | (1 << c)
-                if ranks[c] + 1 > r:
-                    r = ranks[c] + 1
+                rc = ranks[c]
+                if rc >= r:
+                    r = rc + 1
+                if rc < low:
+                    low = rc
+            if low < r - 1:
+                below = 0
+                for c in cover_lists[h]:
+                    below |= alpha[c]
+                cover_lists[h] = tuple(c for c in cover_lists[h] if not below >> c & 1)
             alpha[h] = a
             ranks[h] = r
             for g in up[h]:
@@ -158,6 +169,7 @@ class Poset:
                 b |= beta[g] | (1 << g)
             beta[h] = b
 
+        self._covers = tuple(cover_lists)
         self.alpha_masks = tuple(alpha)
         self.beta_masks = tuple(beta)
         self.theta_masks = tuple(a | b for a, b in zip(alpha, beta))
@@ -318,11 +330,9 @@ def is_coherent(obj: "Poset | SuborderView") -> bool:
     """
     view = as_view(obj)
     p = view.ambient if view.mask == view.ambient.full_mask else view.to_poset()
-    ranks, alpha, beta = p.face_ranks, p.alpha_masks, p.beta_masks
-    # a listed cover c of h with a face between them is no cover
+    ranks = p.face_ranks
     return all(
-        (r == p.rank() or beta[h])
-        and all(ranks[c] == r - 1 for c in p.cover_lists[h] if not beta[c] & alpha[h])
+        (r == p.rank() or p.beta_masks[h]) and all(ranks[c] == r - 1 for c in p.cover_lists[h])
         for h, r in enumerate(ranks)
     )
 

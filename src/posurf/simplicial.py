@@ -5,14 +5,15 @@ cardinality minus one. A complex is the downward closure of any family of
 simplices and stores every nonempty face, so it is closed under inclusion
 and therefore under intersection. The face poset bridges a complex to the
 poset-level recognizers; there, the rank of every face equals its
-dimension.
+dimension. The pseudomanifold tests read one ridge index and one facet
+dual graph per complex, and search each star as an induced subgraph.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import combinations
-from typing import Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import DomainError, ParseError
 from .poset import Poset, check_poset_faces, content_lines
@@ -92,7 +93,9 @@ class SimplicialComplex:
         self._facets = _canonical(facets)
         self._vertices = tuple(sorted(set().union(*facets)))
         self._poset: Poset | None = None
-        self._ridges: dict[frozenset, list[int]] | None = None
+        self._top: list[tuple[int, ...]] = []
+        self._ridges: dict[tuple[int, ...], list[int]] | None = None
+        self._adjacency: list[list[int]] | None = None
         self._pseudomanifold: bool | None = None
         self._normal: bool | None = None
 
@@ -180,18 +183,27 @@ class SimplicialComplex:
         """Every face lies under a top-dimensional facet."""
         return all(len(f) - 1 == self._dim for f in self._facets)
 
-    def _ridge_index(self) -> dict[frozenset, list[int]]:
-        """Each ridge under a top facet -> positions of its top cofaces among
-        the top facets; empty below dimension 1. Cached on the complex."""
+    def _ridge_index(self) -> dict[tuple[int, ...], list[int]]:
+        """Each ridge under a top facet (sorted vertex tuples) -> positions of
+        its top cofaces in ``_top``; empty below dimension 1. Cached."""
         if self._ridges is None:
-            top = [f for f in self._facets if len(f) - 1 == self._dim > 0]
-            self._ridges = _ridge_index(top)
+            self._top = [tuple(sorted(f)) for f in self._facets if len(f) - 1 == self._dim > 0]
+            self._ridges = _ridge_index(self._top)
         return self._ridges
+
+    def _dual(self) -> list[list[int]]:
+        """The dual graph of a pure complex, built on first use. Cached on the complex."""
+        if self._adjacency is None:
+            self._adjacency = _dual_graph(len(self._facets), self._ridge_index())
+        return self._adjacency
+
+    def _boundary(self) -> list[tuple[int, ...]]:
+        return [r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1]
 
     def boundary_ridges(self) -> list[frozenset]:
         """The ridges under exactly one top facet; on a simplicial PCM, the
         facets of its border, which is their closure (not built here)."""
-        return [r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1]
+        return [frozenset(r) for r in self._boundary()]
 
     def is_codim1_connected(self) -> bool:
         """Facet dual-graph connectivity (facets adjacent via a shared ridge).
@@ -201,11 +213,8 @@ class SimplicialComplex:
         """
         if not self.is_pure():
             raise DomainError("codim-1 connectivity requires a pure complex")
-        parent = list(range(len(self._facets)))
-        for cofacets in self._ridge_index().values():
-            for other in cofacets[1:]:
-                _union(parent, cofacets[0], other)
-        return sum(1 for i, p in enumerate(parent) if i == p) <= 1
+        n = len(self._facets)
+        return n <= 1 or self._dim > 0 and _connected(self._dual(), range(n))
 
     def is_pseudomanifold(self) -> bool:
         """Pure, each ridge under one or two top faces, dual graph connected.
@@ -214,15 +223,12 @@ class SimplicialComplex:
         the empty complex does not qualify. Cached on the complex.
         """
         if self._pseudomanifold is None:
-            n = self._dim
-            if n <= 0:
-                self._pseudomanifold = n == 0 and len(self._canonical) == 1
-            else:
-                self._pseudomanifold = (
-                    self.is_pure()
-                    and all(len(c) <= 2 for c in self._ridge_index().values())
-                    and self.is_codim1_connected()
-                )
+            self._pseudomanifold = (
+                self._dim >= 0
+                and self.is_pure()
+                and all(len(c) <= 2 for c in self._ridge_index().values())
+                and self.is_codim1_connected()
+            )
         return self._pseudomanifold
 
     def is_normal_pseudomanifold(self) -> bool:
@@ -239,35 +245,68 @@ class SimplicialComplex:
         facets over f joined by ridges over f. Cached on the complex.
         """
         if self._normal is None:
-            self._normal = self.is_pseudomanifold() and _stars_connected(self._ridge_index())
+            self._normal = self.is_pseudomanifold() and _stars_connected(self._top, self._dual)
         return self._normal
 
 
-def _ridge_index(facets: list[frozenset]) -> dict[frozenset, list[int]]:
-    """Each ridge of a family of same-size facets -> positions of the facets
-    over it, built in one pass."""
-    ridges: dict[frozenset, list[int]] = {}
+def _ridge_index(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+    """Each ridge of a family of same-size sorted vertex tuples -> positions
+    of the facets over it, built in one pass."""
+    ridges: dict[tuple[int, ...], list[int]] = {}
     for i, f in enumerate(facets):
-        for v in f:
-            ridges.setdefault(f - {v}, []).append(i)
+        for ridge in combinations(f, len(f) - 1):
+            ridges.setdefault(ridge, []).append(i)
     return ridges
 
 
-def _stars_connected(ridges: dict[frozenset, list[int]]) -> bool:
-    """Over each nonempty face strictly under a ridge (of codimension >= 2
-    in the facets' closure), the facets are connected through the ridges
-    over it: one union-find per face, from a ridge index of ``_ridge_index``."""
-    stars: dict[frozenset, dict[int, int]] = {}
-    for ridge, cofacets in ridges.items():
-        # the faces of codimension >= 2 under this ridge: 1 to |ridge| - 1 vertices
-        for size in range(1, len(ridge)):
-            for sub in combinations(ridge, size):
-                parent = stars.setdefault(frozenset(sub), {})
-                for i in cofacets:
-                    parent.setdefault(i, i)
-                for other in cofacets[1:]:
-                    _union(parent, cofacets[0], other)
-    return all(sum(1 for i, p in parent.items() if i == p) == 1 for parent in stars.values())
+def _dual_graph(size: int, ridges: dict[tuple[int, ...], list[int]]) -> list[list[int]]:
+    """Neighbour lists of ``size`` facets, adjacent when they share a ridge."""
+    adjacency: list[list[int]] = [[] for _ in range(size)]
+    for cofacets in ridges.values():
+        if len(cofacets) == 2:
+            a, b = cofacets
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        elif len(cofacets) > 2:
+            for i in cofacets:
+                adjacency[i].extend(j for j in cofacets if j != i)
+    return adjacency
+
+
+def _connected(adjacency: list[list[int]], nodes: Iterable[int]) -> bool:
+    """Whether ``nodes`` (at least one) induce a connected subgraph: one search."""
+    todo = set(nodes)
+    stack = [todo.pop()]
+    while stack and todo:
+        for j in adjacency[stack.pop()]:
+            if j in todo:
+                todo.remove(j)
+                stack.append(j)
+    return not todo
+
+
+def _stars_connected(facets: list[tuple[int, ...]], dual: Callable[[], list[list[int]]]) -> bool:
+    """Whether, over each nonempty face S of codimension >= 2 in the closure
+    of ``facets`` (same-size sorted vertex tuples), the facets over S are
+    connected through ridges over S; ``dual()``, the facets' dual graph, is
+    called only if some star has two or more facets.
+
+    If two facets F and G over S share a ridge R, then R = F & G, since F
+    and G are distinct and R is one vertex short of each; so R contains S.
+    The star graph of S is thus exactly the dual graph induced on the
+    facets over S, which are collected from the facets' own subsets of 1
+    to |F| - 2 vertices: sum over F of 2^|F| - |F| - 2 appends. On a
+    complex's top facets that is below its ``MAX_FACES`` bound; on its
+    boundary ridges, at most |F| / 2 times that bound's term 2^|F| - 1.
+    """
+    stars: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(facets):
+        for size in range(1, len(f) - 1):
+            for s in combinations(f, size):
+                stars.setdefault(s, []).append(i)
+    searched = [star for star in stars.values() if len(star) > 1]
+    adjacency = dual() if searched else []
+    return all(_connected(adjacency, star) for star in searched)
 
 
 def check_condition_C(complex) -> bool:
@@ -303,23 +342,10 @@ def check_condition_C(complex) -> bool:
         raise DomainError("condition (C) applies to simplicial complexes")
     if complex.dim < 1:
         raise DomainError("condition (C) applies to complexes of rank >= 1")
-    boundary = complex.boundary_ridges()
+    boundary = complex._boundary()
     if not (complex.is_normal_pseudomanifold() and boundary):
         raise DomainError("condition (C) requires an n-PCM input")
-    return _stars_connected(_ridge_index(boundary))
-
-
-def _find(parent, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent, a: int, b: int) -> None:
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
+    return _stars_connected(boundary, lambda: _dual_graph(len(boundary), _ridge_index(boundary)))
 
 
 def simplicial_join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:

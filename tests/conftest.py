@@ -63,6 +63,48 @@ def joins_and_gluings() -> list[tuple[str, SimplicialComplex]]:
     ]
 
 
+def suspended(k: SimplicialComplex, times: int) -> SimplicialComplex:
+    for _ in range(times):
+        k = simplicial_join(k, sphere(0))
+    return k
+
+
+def sphere_prism(n: int) -> SimplicialComplex:
+    """``sphere(n - 1)`` times an interval: the prism over each facet
+    v_0 < ... < v_(n-1) is cut into the n simplices v_0..v_i, w_i..w_(n-1),
+    where w_j = v_j + n + 1 is the vertex's copy at the other end."""
+    facets = []
+    for f in sphere(n - 1).facets:
+        low = sorted(f)
+        high = [v + n + 1 for v in low]
+        facets += [low[: i + 1] + high[i:] for i in range(n)]
+    return SimplicialComplex(facets)
+
+
+def high_dimensional_stars() -> list[tuple[str, SimplicialComplex]]:
+    """Spheres up to dimension 9; 1-3 suspensions of the pinched sphere and
+    of pinched-box 4, up to dimension 6; and, for n = 3..6, the cone over
+    ``sphere_prism(n)`` and its boundary, a pinched n-sphere.
+
+    Suspension keeps a pinch: the pinched sphere's suspensions are not
+    normal, and pinched-box 4's are normal PCMs that fail (C). The cone
+    over a prism is a normal PCM whose border is the pinched n-sphere: both
+    ends of the prism coned to one apex. That apex is the only face whose
+    star (or border star) is disconnected, at codimension n.
+    """
+    cones = [(n, simplicial_join(sphere_prism(n), solid_simplex(0))) for n in range(3, 7)]
+    return (
+        [(f"sphere {n}", sphere(n)) for n in range(10)]
+        + [
+            (f"{name} suspended {t}x", suspended(base, t))
+            for name, base in (("pinched sphere", pinched_sphere()), ("pinched-box 4", pinched_box(4)))
+            for t in (1, 2, 3)
+        ]
+        + [(f"cone over {n}-sphere prism", k) for n, k in cones]
+        + [(f"pinched {n}-sphere", SimplicialComplex(k.boundary_ridges())) for n, k in cones]
+    )
+
+
 def memo_on_and_off(monkeypatch, fn):
     """``fn()`` with the recognizers' memos on, then with POSURF_DISABLE_MEMO=1."""
     monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)

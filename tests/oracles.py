@@ -330,6 +330,24 @@ def condition_C_by_neighborhoods(k) -> bool:
     return all(views.surface(theta[h] & bmask) == n - 2 for h in iter_bits(bmask))
 
 
+def condition_C_by_links(k) -> bool:
+    """Condition (C) read from links in the boundary complex B, the closure
+    of the boundary ridges of a normal PCM ``k``: the link in B of every
+    face of codimension >= 2 in B is codimension-1 connected.
+
+    B is pure and each of its ridges lies under two of its facets, so such
+    a link is a pseudomanifold exactly when it is codimension-1 connected,
+    decided here by ``codim1_connected_definitional``; one link complex per
+    face, and no face poset.
+    """
+    boundary = SimplicialComplex(k.boundary_ridges())
+    return all(
+        codim1_connected_definitional(boundary.link(f))
+        for f in boundary.faces
+        if len(f) < boundary.dim
+    )
+
+
 # ---------------------------------------------------------------------------
 # simplicial-level oracles (raw frozensets; no face poset involved)
 

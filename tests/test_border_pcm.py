@@ -21,12 +21,14 @@ from posurf import (
     solid_simplex,
     sphere,
 )
+from posurf import simplicial
 from posurf.surfaces import border_mask_of
 from posurf.poset import iter_bits
 
 from .conftest import (
     antichain_poset,
     chain_poset,
+    high_dimensional_stars,
     memo_on_and_off,
     path_complex,
     two_triangles_shared_edge,
@@ -323,6 +325,35 @@ def test_condition_C_decides_smoothness_on_corpora(complexes, big_complexes):
     assert sum(v is True for v in verdicts.values()) >= 8
     # the 1-PCMs are in the three-way check too
     assert verdicts["simplex 1"] is verdicts["path 3"] is True
+
+
+def test_condition_C_on_high_dimensional_stars():
+    pcms = [(n, k) for n, k in high_dimensional_stars() if k.is_normal_pseudomanifold()]
+    pcms = {n: k for n, k in pcms if k.boundary_ridges()}
+    assert list(pcms) == [
+        *(f"pinched-box 4 suspended {t}x" for t in (1, 2, 3)),
+        *(f"cone over {n}-sphere prism" for n in range(3, 7)),
+    ]
+    for name, k in pcms.items():
+        assert check_condition_C(k) is oracles.condition_C_by_links(k) is False, name
+    # the poset oracle runs the recursion on the face poset, so it checks the
+    # two smallest only: the 593-face 2x suspension takes 1.7 s, and 28 s
+    # with the memos off
+    for name in ("pinched-box 4 suspended 1x", "cone over 3-sphere prism"):
+        assert oracles.condition_C_by_neighborhoods(pcms[name]) is False, name
+
+
+def test_condition_C_on_2_pcms_builds_no_dual_graph(monkeypatch):
+    # a 2-PCM's border is 1-dimensional and has no face of codimension 2,
+    # so no star is searched; normality has built the complex's own graph
+    ks = [annulus(50), disk(50)]
+    assert all(k.is_normal_pseudomanifold() for k in ks)
+
+    def refuse(*args):
+        raise AssertionError("dual graph built")
+
+    monkeypatch.setattr(simplicial, "_dual_graph", refuse)
+    assert all(check_condition_C(k) for k in ks)
 
 
 @settings(max_examples=200, deadline=None)

@@ -103,6 +103,16 @@ def test_poset_is_refused_before_its_covers_are_read(monkeypatch):
         Poset([["x"]] * 4)
 
 
+def test_listed_covers_below_another_listed_cover_are_dropped():
+    p = Poset([[], [0], [0, 1]])
+    assert p.covers(2) == (1,)
+    assert to_hasse(p).splitlines()[-1] == "f 2 : 1"
+    # face 4 drops 0 < 2 and 1 < 3; face 5 keeps 1 and 2, which differ in
+    # rank but are incomparable
+    p = Poset([[], [], [0], [1], [0, 1, 2, 3], [1, 2]])
+    assert p.cover_lists == ((), (), (0,), (1,), (2, 3), (1, 2))
+
+
 def test_from_hasse_refuses_at_the_first_record_above_the_limit(monkeypatch):
     # the refusal comes before the malformed line after it is read
     monkeypatch.setattr(poset_module, "MAX_POSET_FACES", 3)
@@ -465,6 +475,8 @@ def test_random_poset_matches_oracles(covers):
     below = oracles.strict_below(covers)
     for h in range(len(p)):
         assert local_sets(p, h, "alpha") == below[h]
+        # the kept covers are the Hasse relation of the order
+        assert set(p.covers(h)) == {c for c in below[h] if not any(c in below[d] for d in below[h])}
         assert rank(p, h) == oracles.brute_face_rank(covers, h)
     assert rank(p) == oracles.brute_rank(covers)
     got = [set(c) for c in connected_components(p)]
@@ -488,8 +500,8 @@ def test_random_view_rank_matches_oracle(covers, seed):
     members = list(iter_bits(mask))
     assert view_rank(p, mask) == oracles.brute_rank(covers, members)
     assert is_coherent(SuborderView(p, mask)) == oracles.coherent_by_recursion(covers, members)
-    # the whole poset is read through its own cover lists, which may list
-    # a face below another listed cover
+    # the whole poset is read through its own cover lists; the drawn lists
+    # may name a face below another listed cover, which the constructor drops
     assert is_coherent(p) == oracles.coherent_by_recursion(covers)
     got = [set(iter_bits(m)) for m in component_masks(p, mask)]
     assert got == [set(c) for c in oracles.brute_components(covers, members)]

@@ -30,6 +30,7 @@ from posurf import simplicial
 from posurf.cli import main as cli_main
 
 from .conftest import (
+    high_dimensional_stars,
     octahedron,
     path_complex,
     three_triangles_shared_edge,
@@ -277,6 +278,13 @@ def test_codim1_requires_pure():
         mixed.is_codim1_connected()
 
 
+def test_codim1_below_dimension_1():
+    # the facets are vertices, which share no ridge
+    assert SimplicialComplex([]).is_codim1_connected()
+    assert SimplicialComplex([[0]]).is_codim1_connected()
+    assert not sphere(0).is_codim1_connected()
+
+
 def test_codim1_cases():
     assert sphere(2).is_codim1_connected()
     assert not two_triangles_shared_vertex().is_codim1_connected()
@@ -346,6 +354,20 @@ def test_normal_pseudomanifold_suspended_pinched_sphere():
     assert k.is_pseudomanifold()
     assert not k.is_normal_pseudomanifold()
     assert not oracles.normal_pseudomanifold_by_links(k)
+
+
+def test_normal_pseudomanifold_matches_links_on_high_dimensional_stars():
+    verdicts = {}
+    for name, k in high_dimensional_stars():
+        verdicts[name] = k.is_normal_pseudomanifold()
+        assert verdicts[name] == oracles.normal_pseudomanifold_by_links(k), name
+    assert [name for name, normal in verdicts.items() if not normal] == [
+        "sphere 0",
+        "pinched sphere suspended 1x",
+        "pinched sphere suspended 2x",
+        "pinched sphere suspended 3x",
+        *(f"pinched {n}-sphere" for n in range(3, 7)),
+    ]
 
 
 @st.composite
