@@ -147,7 +147,7 @@ def classify_fast(k) -> Classification:
         v = len(k.vertices)
         surface, pcm, smooth, border_empty = v in (0, 2), v <= 1, v <= 1, True
     else:
-        border_empty = not _timed(timings, "border", k.boundary_ridges) if normal else None
+        border_empty = not _timed(timings, "border", k._boundary) if normal else None
         surface = normal and border_empty
         pcm = normal and not border_empty
         smooth = pcm and _timed(timings, "condition_C", lambda: check_condition_C(k))

@@ -320,7 +320,8 @@ def check_condition_C(complex) -> bool:
        (n-1)-surfaces, and inside such a union each face's strict
        neighborhood is the one it has in its own component, an
        (n-2)-surface.
-    2. (C) implies smooth: the paper's sufficient condition.
+    2. (C) implies smooth, on every poset: the proof is in the docstring
+       of ``posurf.surfaces.is_smooth_pcm``, which decides smoothness so.
     3. The border of a simplicial PCM is its boundary complex B, the
        closure of the ridges under exactly one top facet. Every ridge of B
        lies under exactly two facets of B, because in a normal

@@ -2,15 +2,14 @@
 
 ``Views(poset)`` decides, for any member bitmask of the poset, its rank,
 whether it is connected, whether it is a discrete surface, its border,
-and whether it is a PCM or a smooth PCM. Each answer is memoized under
-the bitmask in one of the poset's named memos (``view_rank``,
-``connected``, ``surface``, ``border``, ``pcm``, ``smooth``), so every
-recognizer run on one poset shares the work of the others. The
-exceptions are the views that a bit test decides, which are never
-stored: surface views of at most two faces and PCM views of at most one.
-On a khalimsky block most surface views are that small, and each memo
-key is as wide as the poset, so storing them would cost more memory than
-deciding them again costs time. Setting
+and whether it is a PCM. Each answer is memoized under the bitmask in one
+of the poset's five named memos (``view_rank``, ``connected``,
+``surface``, ``border``, ``pcm``), so every recognizer run on one poset
+shares the work of the others. The exceptions are the views that a bit
+test decides, which are never stored: surface views of at most two faces
+and PCM views of at most one. On a khalimsky block most surface views are
+that small, and each memo key is as wide as the poset, so storing them
+would cost more memory than deciding them again costs time. Setting
 ``POSURF_DISABLE_MEMO`` to 1, true or yes turns every memo into one that
 never stores, and each call then recomputes from the definitions
 (differential debugging); the switch is read when a ``Views`` is made,
@@ -20,9 +19,11 @@ strictly below the view it was taken in. ``Views`` refuses a poset of rank
 above ``MAX_RANK`` with a DomainError, so the recursion never reaches
 Python's frame limit. The surface and border tests split each strict
 neighborhood into its two join factors, the strict closure and the strict
-opening (see ``Views.surface``). The PCM and smooth PCM tests are one walk
-over the border that ``Views.border`` computes (see ``Views.pcm``). Only
-the border and PCM tests compute ranks. The border of a rank-n view
+opening (see ``Views.surface``). The PCM test is one walk over the border
+that ``Views.border`` computes (see ``Views.pcm``). A smooth PCM is a PCM
+whose border satisfies condition (C), on every poset (see
+``is_smooth_pcm``, which proves it), so smoothness is read off the border
+after that one walk. Only the border and PCM tests compute ranks. The border of a rank-n view
 collects the faces whose strict neighborhood is not an (n-1)-surface; the
 interior is the rest.
 """
@@ -79,7 +80,7 @@ class Views:
         self._connected = memo("connected")
         self._surfaces = memo("surface")
         self._borders = memo("border")
-        self._pcms = {False: memo("pcm"), True: memo("smooth")}
+        self._pcms = memo("pcm")
 
     def rank(self, mask: int) -> int:
         """Rank of the view; -1 when empty."""
@@ -163,25 +164,22 @@ class Views:
             self._borders[mask] = got
         return got
 
-    def pcm(self, mask: int, smooth: bool = False) -> int:
-        """(Smooth) PCM rank of the view, or NOT_HELD.
+    def pcm(self, mask: int) -> int:
+        """PCM rank of the view, or NOT_HELD.
 
         Base cases: the empty order is the (-1)-PCM and a singleton the
         0-PCM. For rank n >= 1 the view must be connected with a nonempty
         border, and every border face's strict neighborhood must be an
-        (n-1)-PCM, a smooth one for a smooth PCM; a smooth PCM's border must
-        also be a separated union of (n-1)-surfaces. Interior faces need no
-        test: the border is exactly the faces whose neighborhood is not an
-        (n-1)-surface. One walk over the border serves both flags. A border
-        face's neighborhood is tested whole: the join law for PCMs would
-        split it too, but its factors are new views on grid-like inputs and
-        measured slower there.
+        (n-1)-PCM. Interior faces need no test: the border is exactly the
+        faces whose neighborhood is not an (n-1)-surface. A border face's
+        neighborhood is tested whole: the join law for PCMs would split it
+        too, but its factors are new views on grid-like inputs and measured
+        slower there.
         """
         count = mask.bit_count()
         if count <= 1:
             return count - 1
-        memo = self._pcms[smooth]
-        got = memo.get(mask)
+        got = self._pcms.get(mask)
         if got is not None:
             return got
         result = NOT_HELD
@@ -189,29 +187,10 @@ class Views:
         if self.connected(mask):
             n = self.rank(mask)
             bmask = self.border(mask)
-            if (
-                bmask
-                and all(self.pcm(self.theta[h] & mask, smooth) == n - 1 for h in iter_bits(bmask))
-                and (not smooth or self._surface_union(bmask, n - 1))
-            ):
+            if bmask and all(self.pcm(self.theta[h] & mask) == n - 1 for h in iter_bits(bmask)):
                 result = n
-        memo[mask] = result
+        self._pcms[mask] = result
         return result
-
-    def _surface_union(self, bmask: int, target: int) -> bool:
-        """Is the border view a separated union of target-rank surfaces?
-
-        Components of a suborder are never theta-adjacent inside it, so the
-        separation between parts is automatic. For target >= 1 surfaces are
-        connected, hence each component must itself be a target-surface. A
-        0-surface is two mutually non-adjacent faces, so for target 0 the
-        border must consist of singleton components in even number (any
-        pairing then realizes the union of 0-surfaces).
-        """
-        comps = list(component_masks(self.poset, bmask))
-        if target == 0:
-            return len(comps) == bmask.bit_count() and len(comps) % 2 == 0
-        return all(self.surface(cm) == target for cm in comps)
 
 
 @dataclass(frozen=True)
@@ -287,5 +266,55 @@ def is_pcm(obj: "Poset | SuborderView") -> Verdict:
 
 
 def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
+    """The PCM walk, then condition (C) on the border it computed.
+
+    A smooth n-PCM (n >= 1) is an n-PCM whose border B is a separated
+    union of (n-1)-surfaces (for n = 1, of mutually non-adjacent faces in
+    even number) and whose border faces have smooth (n-1)-PCMs as strict
+    neighborhoods; the empty order and a singleton are smooth. Condition
+    (C) asks each h in B for an (n-2)-surface theta_B(h) = theta(h) & B.
+    The law decided here holds on every poset: a view is a smooth n-PCM
+    iff it is an n-PCM satisfying (C). Each theta_B(h) is the join
+    (alpha(h) & B) * (beta(h) & B), so ``_nbhd`` decides it by its factors
+    and no neighborhood is tested whole. Smooth implies (C) (see
+    ``check_condition_C``). The converse follows from the join law for
+    discrete surfaces (see ``Views.surface``). Write theta_W(x) for the
+    strict neighborhood of x in a view W, B_W for W's border, and recall
+    that a k-surface with k >= 1 is connected.
+
+    Inclusion: if V has rank m and W = theta_V(h) rank m - 1, then B_W lies
+    in B & W. Take x in W off B, say x < h (x > h is dual). The
+    (m-1)-surface theta_V(x) = alpha_V(x) * beta_V(x) has a p-surface and
+    a q-surface as factors, p + q = m - 2. In W, x keeps alpha_V(x), which
+    lies below h, and the faces of beta_V(x) comparable to h, but not h:
+    theta_W(x) = alpha_V(x) * theta_{beta_V(x)}(h), a p-surface joined
+    with a (q-1)-surface. It is an (m-2)-surface, so x is off B_W.
+
+    Lemma M(m), m >= 1: if W is an m-PCM and N, a subset of W, is an
+    (m-1)-surface holding B_W, then B_W = N. For m = 1, each face of W
+    has one neighbor (border) or two non-adjacent ones (interior), so the
+    connected W is a path and |B_W| = 2 = |N|. For m >= 2, take b in B_W;
+    P = theta_W(b) is an (m-1)-PCM, and by the inclusion its nonempty
+    border lies in B_W & P, inside the (m-2)-surface theta_N(b). M(m-1)
+    gives theta_N(b) = B_P, inside B_W. So B_W is closed under adjacency
+    in the connected N, and B_W = N.
+
+    Theorem, by induction on n: an n-PCM V satisfying (C) is smooth. For
+    n = 1, (C) makes the path's two ends non-adjacent singletons, and
+    their neighborhoods are singletons. For n >= 2, a component C of B
+    gives each of its faces x the neighborhood theta_C(x) = theta_B(x), a
+    nonempty (n-2)-surface, so C has three faces or more and is an
+    (n-1)-surface; B is their separated union. For h in B, W = theta_V(h)
+    is an (n-1)-PCM and N = theta_B(h) an (n-2)-surface by (C), holding
+    B_W by the inclusion, so B_W = N by M(n-1). Then W satisfies (C), as
+    theta_{B_W}(x) = theta_N(x) is an (n-3)-surface, and is smooth by
+    induction.
+    """
     view = as_view(obj)
-    return _verdict(Views(view.ambient).pcm(view.mask, smooth=True))
+    views = Views(view.ambient)
+    n = views.pcm(view.mask)
+    if n >= 1:
+        bmask = views.border(view.mask)
+        if any(views._nbhd(h, bmask) != n - 2 for h in iter_bits(bmask)):
+            n = NOT_HELD
+    return _verdict(n)

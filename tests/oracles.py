@@ -11,9 +11,9 @@ import random
 from itertools import combinations
 
 from posurf.errors import DomainError
-from posurf.poset import Poset, as_view, iter_bits
+from posurf.poset import Poset, SuborderView, as_view, component_masks, iter_bits
 from posurf.simplicial import SimplicialComplex
-from posurf.surfaces import Views
+from posurf.surfaces import NOT_HELD, Verdict, Views
 
 
 def face_id(k: SimplicialComplex, simplex) -> int:
@@ -305,6 +305,61 @@ def brute_is_smooth_pcm(covers, members=None, max_border=8):
         return (False, None)
 
     return smooth(members)
+
+
+def brute_condition_C(covers, members=None) -> bool:
+    """Condition (C) on an n-PCM by its definition: each border face's strict
+    neighborhood inside the border is an (n-2)-surface."""
+    below = strict_below(covers)
+    members = frozenset(range(len(covers))) if members is None else frozenset(members)
+    n = brute_rank(covers, members)
+    bd = brute_border(covers, members)
+    return all(
+        brute_is_surface(covers, {x for x in bd if x in below[h] or h in below[x]}) == (True, n - 2)
+        for h in bd
+    )
+
+
+def smooth_pcm_by_walk(obj: "Poset | SuborderView") -> Verdict:
+    """Smooth PCM verdict by the definition's own walk over the border.
+
+    For rank n >= 1 the view must be connected with a nonempty border,
+    every border face's strict neighborhood a smooth (n-1)-PCM, and the
+    border a separated union of (n-1)-surfaces. Components of a suborder
+    are never adjacent in it, so for n >= 2 each component must be an
+    (n-1)-surface; for n = 1 the border must be singletons in even number
+    (any pairing of them is a union of 0-surfaces). Rank, connectivity,
+    border and surfaces come from ``Views``; the walk and its memo are its
+    own. It is the reference for ``is_smooth_pcm`` (PCM and condition (C))
+    on borders above the cap of ``brute_is_smooth_pcm``.
+    """
+    view = as_view(obj)
+    views = Views(view.ambient)
+    theta = view.ambient.theta_masks
+    memo: dict[int, int] = {}
+
+    def smooth(mask: int) -> int:
+        count = mask.bit_count()
+        if count <= 1:
+            return count - 1
+        if mask not in memo:
+            memo[mask] = NOT_HELD
+            if views.connected(mask):
+                n = views.rank(mask)
+                bmask = views.border(mask)
+                comps = list(component_masks(view.ambient, bmask))
+                if n == 1:
+                    union = len(comps) == bmask.bit_count() and len(comps) % 2 == 0
+                else:
+                    union = all(views.surface(c) == n - 1 for c in comps)
+                if bmask and union and all(
+                    smooth(theta[h] & mask) == n - 1 for h in iter_bits(bmask)
+                ):
+                    memo[mask] = n
+        return memo[mask]
+
+    rank = smooth(view.mask)
+    return Verdict(None if rank == NOT_HELD else rank)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Border decomposition, PCM and smooth-PCM recognizers, condition (C)."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +21,7 @@ from posurf import (
     is_smooth_pcm,
     khalimsky_block,
     pinched_box,
+    restrict,
     solid_simplex,
     sphere,
 )
@@ -34,6 +38,7 @@ from .conftest import (
     two_triangles_shared_edge,
     two_triangles_shared_vertex,
 )
+from .test_propositions import check_border_neighborhood_equality
 from .test_simplicial import random_complexes
 from . import oracles
 
@@ -189,7 +194,7 @@ def test_pinched_box_pcm_but_not_smooth():
 
 
 def test_pcm_and_smooth_verdicts_do_not_depend_on_call_order():
-    # one recursion decides both, over separate memos on the same poset
+    # the smooth test reads the PCM memo and the border that either call stores
     for order in ((is_smooth_pcm, is_pcm), (is_pcm, is_smooth_pcm)):
         p = pinched_box(6).face_poset()
         got = {recognizer: recognizer(p) for recognizer in order}
@@ -201,15 +206,39 @@ def test_pcm_and_smooth_verdicts_do_not_depend_on_call_order():
         Verdict(True, 3)
 
 
+def _check_smooth_law(p: Poset, members=None) -> bool:
+    """Check the smooth PCM law and the steps of its proof on one view.
+
+    ``is_smooth_pcm`` (the PCM walk, then condition (C)) must match the
+    literal partition oracle and the definition's smooth walk. On a PCM of
+    rank >= 1 that satisfies (C), by its definition, every border face's
+    neighborhood must have the neighborhood's trace on the border as its
+    own border (``check_border_neighborhood_equality``; the proof's lemma
+    M gives it). Returns whether the view was such a PCM.
+    """
+    covers = p.cover_lists
+    view = SuborderView(p, p.full_mask) if members is None else restrict(p, sorted(members))
+    got = is_smooth_pcm(view)
+    assert (got.holds, got.rank) == oracles.brute_is_smooth_pcm(covers, view.members), covers
+    assert got == oracles.smooth_pcm_by_walk(view), (covers, view.members)
+    pcm = is_pcm(view)
+    if not pcm.holds or pcm.rank < 1 or not oracles.brute_condition_C(covers, view.members):
+        return False
+    assert got == pcm, (covers, view.members)
+    assert not check_border_neighborhood_equality(view.to_poset()), (covers, view.members)
+    return True
+
+
 def test_smooth_matches_literal_partition_oracle():
-    # the border condition is implemented via connected components (plus
-    # the even-pairing rule at rank 0); the oracle instead enumerates every
-    # partition of the border into separated surface parts, verbatim
+    # is_smooth_pcm decides condition (C) after the PCM walk; the oracle
+    # instead enumerates every partition of the border into separated
+    # surface parts, verbatim, and the definition's walk tests each
+    # border component
     import random
 
     rng = random.Random(424242)
     view_rng = random.Random(4242)
-    checked = 0
+    pcms_with_C = 0
     for _ in range(400):
         n = rng.randint(0, 8)
         covers = []
@@ -217,14 +246,94 @@ def test_smooth_matches_literal_partition_oracle():
             k = rng.randint(0, min(3, h))
             covers.append(sorted(rng.sample(range(h), k)) if h else [])
         p = Poset(covers)
-        expect = oracles.brute_is_smooth_pcm(covers)
-        got = is_smooth_pcm(p)
-        assert (got.holds, got.rank) == expect, covers
-        view = SuborderView(p, view_rng.randrange(1 << n))
-        got = is_smooth_pcm(view)
-        assert (got.holds, got.rank) == oracles.brute_is_smooth_pcm(covers, view.members), covers
-        checked += 1
-    assert checked == 400
+        pcms_with_C += _check_smooth_law(p)
+        pcms_with_C += _check_smooth_law(p, iter_bits(view_rng.randrange(1 << n)))
+    assert pcms_with_C == 38
+
+
+def naturally_labelled_covers(n: int):
+    """Cover lists of every poset on faces 0..n-1 in which face h covers an
+    antichain of 0..h-1; distinct antichains give distinct down-sets, so each
+    naturally labelled poset comes once."""
+
+    def extend(covers, below):
+        h = len(covers)
+        if h == n:
+            yield covers
+            return
+        for size in range(h + 1):
+            for cs in combinations(range(h), size):
+                if all(b not in below[a] for b, a in combinations(cs, 2)):
+                    down = set(cs).union(*(below[c] for c in cs))
+                    yield from extend(covers + [list(cs)], below + [down])
+
+    yield from extend([], [])
+
+
+def test_every_naturally_labelled_poset_up_to_6_faces():
+    # the counts pin the enumeration (OEIS A006455); every induced subposet
+    # of such a poset is again one, up to relabelling, so this checks every
+    # view of at most 6 faces against the literal oracles
+    counts, verdicts = [], Counter()
+    for n in range(7):
+        count = 0
+        for covers in naturally_labelled_covers(n):
+            p = Poset(covers)
+            pv = is_pcm(p)
+            assert (pv.holds, pv.rank) == oracles.brute_is_pcm(covers), covers
+            with_C = _check_smooth_law(p)
+            verdicts[n, "smooth" if is_smooth_pcm(p).holds else "pcm" if pv.holds else "neither"] += 1
+            verdicts[n, "(C)"] += with_C
+            count += 1
+        counts.append(count)
+    assert counts == [1, 1, 2, 7, 40, 357, 4824]
+    # the 9 surfaces at 6 faces have an empty border: neither
+    assert {v: verdicts[6, v] for v in ("smooth", "pcm", "neither", "(C)")} == {
+        "smooth": 71, "pcm": 85, "neither": 4668, "(C)": 71,
+    }
+
+
+def test_cone_over_a_path_needs_condition_C():
+    # apex 3 over the path 0 < 2 > 1: a 2-PCM whose every face is a border
+    # face, so (C) fails at every face (no theta(h) & B is a 0-surface); the
+    # border of theta(2), the ends 0 and 1 of the path 0 - 3 - 1, is not
+    # theta(2) & B, the whole path, and likewise at the apex
+    covers = [[], [], [0, 1], [0, 1, 2]]
+    p = Poset(covers)
+    assert is_pcm(p) == Verdict(2)
+    assert border_mask_of(p) == p.full_mask
+    assert not oracles.brute_condition_C(covers)
+    assert check_border_neighborhood_equality(p) == [2, 3]
+    assert is_smooth_pcm(p) == oracles.smooth_pcm_by_walk(p) == Verdict(None)
+    assert oracles.brute_is_smooth_pcm(covers) == (False, None)
+
+
+def test_smooth_matches_the_walk_on_named_instances(monkeypatch):
+    # beyond the 8-face border cap of the partition oracle; the unmemoized
+    # PCM walk on simplex 6 alone takes over a minute, so the memos stay on
+    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
+    instances = {
+        "pinched-box 12": pinched_box(12),
+        "disk 60": disk(60),
+        "annulus 40": annulus(40),
+        "simplex 6": solid_simplex(6),
+        "khalimsky 7x5": khalimsky_block(7, 5),
+        "khalimsky 34x34": khalimsky_block(34, 34),
+    }
+    got = {}
+    for name, obj in instances.items():
+        p = obj if isinstance(obj, Poset) else obj.face_poset()
+        walk = oracles.smooth_pcm_by_walk(p)
+        got[name] = is_smooth_pcm(Poset(p.cover_lists))
+        assert got[name] == walk, name
+    assert got == {
+        "pinched-box 12": Verdict(None),
+        "disk 60": Verdict(2),
+        "annulus 40": Verdict(2),
+        "simplex 6": Verdict(6),
+        "khalimsky 7x5": Verdict(2),
+        "khalimsky 34x34": Verdict(2),
+    }
 
 
 def test_smooth_oracle_agrees_on_small_corpus(posets, complexes):

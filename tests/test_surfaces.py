@@ -102,9 +102,9 @@ def test_random_posets_match_brute_oracles():
         assert views.surface(mask) in (NOT_HELD, views.rank(mask)), (p.cover_lists, mask)
 
     def check_smooth_and_border(p, mask):
-        # the smooth test walks the border that Views.border stores, and the
-        # border after a PCM walk must match a fresh one; both against
-        # definitions that share neither
+        # the smooth test reads (C) off the border that Views.border stores,
+        # and the border after a PCM walk must match a fresh one; both
+        # against definitions that share neither
         covers = p.cover_lists
         members = list(iter_bits(mask))
         try:
@@ -159,14 +159,14 @@ def test_memoized_vs_unmemoized_agree(posets, complexes, monkeypatch):
 def test_memo_switch_stores_nothing(monkeypatch):
     from posurf import border, is_pcm, is_smooth_pcm
 
-    names = ("view_rank", "connected", "surface", "border", "pcm", "smooth")
+    names = ("view_rank", "connected", "surface", "border", "pcm")
     recognizers = (is_k_surface, is_coherent, border, is_pcm, is_smooth_pcm)
     monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
     p = sphere(2).face_poset()
     for recognizer in recognizers:
         recognizer(p)
     assert is_k_surface(p).rank == 2
-    assert [len(p.memo(name)) for name in names] == [0] * 6
+    assert [len(p.memo(name)) for name in names] == [0] * 5
     monkeypatch.delenv("POSURF_DISABLE_MEMO")
     q = sphere(2).face_poset()
     for recognizer in recognizers:
@@ -189,8 +189,7 @@ def test_views_a_bit_test_decides_are_never_stored(monkeypatch):
         tracemalloc.stop()
     assert c.category == "pcm" and c.is_smooth_pcm
     assert p.memo("surface") and all(m.bit_count() >= 3 for m in p.memo("surface"))
-    for name in ("pcm", "smooth"):
-        assert p.memo(name) and all(m.bit_count() >= 2 for m in p.memo(name))
+    assert p.memo("pcm") and all(m.bit_count() >= 2 for m in p.memo("pcm"))
     assert peak < 1_000_000
 
 
