@@ -296,12 +296,26 @@ def theta_view(obj: "Poset | SuborderView", h: int) -> SuborderView:
 
 
 def view_face_ranks(poset: Poset, mask: int) -> dict[int, int]:
-    """Per-face ranks of the suborder induced by ``mask`` (recomputed)."""
+    """Per-face ranks of the suborder induced by ``mask`` (recomputed).
+
+    Faces are placed in order of ambient rank, so each comes after every
+    face below it. ``levels[r]`` masks the faces placed at view rank r, and
+    a face goes one level above the highest level that meets its closure in
+    the view, found by scanning down from the top: a few mask tests per
+    face, where a max over the faces below it is quadratic on a long chain.
+    """
     ranks: dict[int, int] = {}
+    levels: list[int] = []
     alpha = poset.alpha_masks
     for h in sorted(iter_bits(mask), key=poset.face_ranks.__getitem__):
         below = alpha[h] & mask
-        ranks[h] = 1 + max(ranks[x] for x in iter_bits(below)) if below else 0
+        r = len(levels)
+        while r and not levels[r - 1] & below:
+            r -= 1
+        if r == len(levels):
+            levels.append(0)
+        levels[r] |= 1 << h
+        ranks[h] = r
     return ranks
 
 

@@ -17,15 +17,18 @@ which each public recognizer does per call.
 The recursion is depth-bounded: a strict neighborhood always has rank
 strictly below the view it was taken in. ``Views`` refuses a poset of rank
 above ``MAX_RANK`` with a DomainError, so the recursion never reaches
-Python's frame limit. The surface and border tests split each strict
+Python's frame limit. The surface, border and PCM tests split each strict
 neighborhood into its two join factors, the strict closure and the strict
-opening (see ``Views.surface``). The PCM test is one walk over the border
-that ``Views.border`` computes (see ``Views.pcm``). A smooth PCM is a PCM
-whose border satisfies condition (C), on every poset (see
-``is_smooth_pcm``, which proves it), so smoothness is read off the border
-after that one walk. Only the border and PCM tests compute ranks. The border of a rank-n view
-collects the faces whose strict neighborhood is not an (n-1)-surface; the
-interior is the rest.
+opening, by the join laws for surfaces (see ``Views.surface``) and for
+PCMs (see ``Views.pcm``, which proves it). So every view that the PCM
+walk from a whole poset visits, with the surface and border tests under
+it, is an interval: at most (comparable pairs) + 2n + 1 views over n
+faces. The PCM test is one walk over the border that ``Views.border``
+computes. A smooth PCM is a PCM whose border satisfies condition (C), on
+every poset (see ``is_smooth_pcm``, which proves it), so smoothness is
+read off the border after that one walk. Only the border and PCM tests
+compute ranks. The border of a rank-n view collects the faces whose strict
+neighborhood is not an (n-1)-surface; the interior is the rest.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ NOT_HELD = -2
 
 # Upper bound on the rank of a poset the recursion takes. Each rank nests
 # about two frames (a view, then a join factor of one of its
-# neighborhoods), so rank 256 needs about 520 of Python's default 1000.
+# neighborhoods): ``is_pcm`` on a 100-face chain (rank 99) needs a frame
+# limit of 202 from the top level, 2.02 frames per rank, so rank 256 needs
+# about 520 of Python's default 1000.
 MAX_RANK = 256
 
 
@@ -171,10 +176,41 @@ class Views:
         0-PCM. For rank n >= 1 the view must be connected with a nonempty
         border, and every border face's strict neighborhood must be an
         (n-1)-PCM. Interior faces need no test: the border is exactly the
-        faces whose neighborhood is not an (n-1)-surface. A border face's
-        neighborhood is tested whole: the join law for PCMs would split it
-        too, but its factors are new views on grid-like inputs and measured
-        slower there.
+        faces whose neighborhood is not an (n-1)-surface. A border face h
+        has the neighborhood theta(h) & V = A * B, A = alpha(h) & V and
+        B = beta(h) & V (see ``surface``), which is nonempty as V is
+        connected. It is decided by its two factors, by the join law for
+        PCMs: a nonempty join Z = X * Y is an m-PCM iff (i) each of X and Y
+        is a surface or a PCM, (ii) their ranks sum to m - 1 and (iii) they
+        are not both surfaces, the empty order counting as both. On the
+        border (iii) needs no test: two surface factors whose ranks sum to
+        n - 2 would make h interior. The factors' surface ranks are read
+        first, as ``border`` has stored most of them, and ``pcm`` runs only
+        on a factor that is not a surface.
+
+        Proof, by induction on m. A PCM of rank >= 0 is never a surface: a
+        0-PCM is one face, and a k-PCM with k >= 1 has a border, which a
+        k-surface has not. If X is empty, Z = Y and (i)-(iii) say that Y is
+        an m-PCM; Y empty is dual. Otherwise Z is connected, rank Z =
+        rank X + rank Y + 1, and a face x of X has theta_Z(x) =
+        theta_X(x) * Y. By the surface join law that is a (rank Z - 1)-
+        surface iff Y is a surface and theta_X(x) a (rank X - 1)-surface:
+        x is a border face of Z iff x is on X's border or Y is not a
+        surface. Faces of Y are dual. If (i)-(iii) hold, one factor, say Y,
+        is not a surface, so X, nonempty, lies in the border. For x on the
+        border, theta_X(x) is a surface or a PCM of rank rank X - 1 (X is
+        one or the other), and it is not a surface when Y is one, as x is
+        then on the border of the PCM X. So theta_X(x) and Y meet (i)-(iii)
+        at m - 1, and theta_Z(x) is an (m-1)-PCM by induction. Conversely,
+        let Z be an m-PCM. Its border is nonempty, so X and Y are not both
+        surfaces, and rank Z = m gives (ii). For y in Y, X * theta_Y(y) is
+        an (m-1)-surface or an (m-1)-PCM, so X is a surface by the join
+        law or, by induction, a surface or a PCM; Y likewise.
+
+        So the walk visits only views made of the full view and its alpha
+        and beta restrictions: from the full view, each is an interval of
+        the poset (below a face, above a face, or between two comparable
+        faces), at most (comparable pairs) + 2n + 1 views over n faces.
         """
         count = mask.bit_count()
         if count <= 1:
@@ -187,8 +223,21 @@ class Views:
         if self.connected(mask):
             n = self.rank(mask)
             bmask = self.border(mask)
-            if bmask and all(self.pcm(self.theta[h] & mask) == n - 1 for h in iter_bits(bmask)):
-                result = n
+            result = n if bmask else NOT_HELD
+            # one loop, with no helper frame: the recursion nests about two
+            # frames per rank (see MAX_RANK)
+            for h in iter_bits(bmask):
+                below = self.alpha[h] & mask
+                above = self.beta[h] & mask
+                a = self.surface(below)
+                b = self.surface(above)
+                if a == NOT_HELD:
+                    a = self.pcm(below)
+                if b == NOT_HELD and a != NOT_HELD:
+                    b = self.pcm(above)
+                if a == NOT_HELD or b == NOT_HELD or a + b != n - 2:
+                    result = NOT_HELD
+                    break
         self._pcms[mask] = result
         return result
 

@@ -320,6 +320,38 @@ def brute_condition_C(covers, members=None) -> bool:
     )
 
 
+def pcm_by_walk(obj: "Poset | SuborderView") -> Verdict:
+    """PCM verdict by the definition's own walk over the border.
+
+    For rank n >= 1 the view must be connected with a nonempty border, and
+    every border face's strict neighborhood, tested whole, an (n-1)-PCM.
+    Rank, connectivity and border come from ``Views``; the walk and its
+    memo are its own. It is the reference for ``Views.pcm``, which decides
+    each border neighborhood by its two join factors. The neighborhoods it
+    visits are not intervals, so it is exponential on chains and simplices.
+    """
+    view = as_view(obj)
+    views = Views(view.ambient)
+    theta = view.ambient.theta_masks
+    memo: dict[int, int] = {}
+
+    def pcm(mask: int) -> int:
+        count = mask.bit_count()
+        if count <= 1:
+            return count - 1
+        if mask not in memo:
+            memo[mask] = NOT_HELD
+            if views.connected(mask):
+                n = views.rank(mask)
+                bmask = views.border(mask)
+                if bmask and all(pcm(theta[h] & mask) == n - 1 for h in iter_bits(bmask)):
+                    memo[mask] = n
+        return memo[mask]
+
+    rank = pcm(view.mask)
+    return Verdict(None if rank == NOT_HELD else rank)
+
+
 def smooth_pcm_by_walk(obj: "Poset | SuborderView") -> Verdict:
     """Smooth PCM verdict by the definition's own walk over the border.
 

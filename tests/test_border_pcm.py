@@ -210,7 +210,9 @@ def _check_smooth_law(p: Poset, members=None) -> bool:
     """Check the smooth PCM law and the steps of its proof on one view.
 
     ``is_smooth_pcm`` (the PCM walk, then condition (C)) must match the
-    literal partition oracle and the definition's smooth walk. On a PCM of
+    literal partition oracle and the definition's smooth walk, and
+    ``is_pcm`` (each border neighborhood by its join factors) the walk
+    that tests each neighborhood whole. On a PCM of
     rank >= 1 that satisfies (C), by its definition, every border face's
     neighborhood must have the neighborhood's trace on the border as its
     own border (``check_border_neighborhood_equality``; the proof's lemma
@@ -222,6 +224,7 @@ def _check_smooth_law(p: Poset, members=None) -> bool:
     assert (got.holds, got.rank) == oracles.brute_is_smooth_pcm(covers, view.members), covers
     assert got == oracles.smooth_pcm_by_walk(view), (covers, view.members)
     pcm = is_pcm(view)
+    assert pcm == oracles.pcm_by_walk(view), (covers, view.members)
     if not pcm.holds or pcm.rank < 1 or not oracles.brute_condition_C(covers, view.members):
         return False
     assert got == pcm, (covers, view.members)
@@ -293,6 +296,51 @@ def test_every_naturally_labelled_poset_up_to_6_faces():
     }
 
 
+def test_every_naturally_labelled_poset_with_7_faces():
+    # the join laws for PCMs (``Views.pcm``) and for smooth PCMs (condition
+    # (C)) against the walks that test each neighborhood whole, on every
+    # view of at most 7 faces
+    verdicts = Counter()
+    for covers in naturally_labelled_covers(7):
+        p = Poset(covers)
+        pv, sv = is_pcm(p), is_smooth_pcm(p)
+        assert pv == oracles.pcm_by_walk(p), covers
+        assert sv == oracles.smooth_pcm_by_walk(p), covers
+        verdicts["smooth" if sv.holds else "pcm" if pv.holds else "neither"] += 1
+    assert verdicts == {"smooth": 324, "pcm": 616, "neither": 95_488}
+
+
+def _interval_keys(p: Poset) -> set[int]:
+    """The full poset, each alpha(h) and beta(h), and each open interval
+    beta(a) & alpha(b) of two comparable faces a < b."""
+    keys = {p.full_mask, *p.alpha_masks, *p.beta_masks}
+    for below in p.alpha_masks:
+        keys.update(p.beta_masks[a] & below for a in iter_bits(below))
+    return keys
+
+
+def test_pcm_walk_visits_only_intervals(monkeypatch):
+    # from the full poset each border neighborhood splits into an alpha and
+    # a beta restriction, so every view the recursion stores is an interval,
+    # at most (comparable pairs) + 2n + 1 views per memo
+    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
+    instances = {
+        "simplex 6": solid_simplex(6).face_poset(),
+        "khalimsky 7x5": khalimsky_block(7, 5),
+        "chain 30": chain_poset(30),
+        "pinched-box 6": pinched_box(6).face_poset(),
+        "disk 12": disk(12).face_poset(),
+    }
+    for name, p in instances.items():
+        assert is_pcm(p).holds, name
+        intervals = _interval_keys(p)
+        bound = sum(a.bit_count() for a in p.alpha_masks) + 2 * len(p) + 1
+        for memo in ("view_rank", "connected", "surface", "border", "pcm"):
+            keys = set(p.memo(memo))
+            assert keys and keys <= intervals, (name, memo)
+            assert len(keys) <= bound, (name, memo)
+
+
 def test_cone_over_a_path_needs_condition_C():
     # apex 3 over the path 0 < 2 > 1: a 2-PCM whose every face is a border
     # face, so (C) fails at every face (no theta(h) & B is a 0-surface); the
@@ -309,8 +357,9 @@ def test_cone_over_a_path_needs_condition_C():
 
 
 def test_smooth_matches_the_walk_on_named_instances(monkeypatch):
-    # beyond the 8-face border cap of the partition oracle; the unmemoized
-    # PCM walk on simplex 6 alone takes over a minute, so the memos stay on
+    # beyond the 8-face border cap of the partition oracle; is_pcm is
+    # checked against the walk that tests each neighborhood whole, which
+    # takes over a minute on simplex 6 unmemoized, so the memos stay on
     monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
     instances = {
         "pinched-box 12": pinched_box(12),
@@ -324,8 +373,10 @@ def test_smooth_matches_the_walk_on_named_instances(monkeypatch):
     for name, obj in instances.items():
         p = obj if isinstance(obj, Poset) else obj.face_poset()
         walk = oracles.smooth_pcm_by_walk(p)
-        got[name] = is_smooth_pcm(Poset(p.cover_lists))
+        fresh = Poset(p.cover_lists)
+        got[name] = is_smooth_pcm(fresh)
         assert got[name] == walk, name
+        assert is_pcm(fresh) == oracles.pcm_by_walk(p), name
     assert got == {
         "pinched-box 12": Verdict(None),
         "disk 60": Verdict(2),

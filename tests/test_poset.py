@@ -234,6 +234,14 @@ def test_view_ranks_recomputed_not_inherited(posets, complexes):
                 assert standalone.face_ranks[i] == rank(nbhd, m)
 
 
+def test_rank_of_a_long_proper_chain_view():
+    # each face of a view is placed one level above the highest level that
+    # meets its closure, so a 3999-face chain view is ranked in milliseconds
+    view = restrict(chain_poset(4000), range(1, 4000))
+    assert rank(view) == view_rank(view.ambient, view.mask) == 3998
+    assert rank(view, 3999) == 3998 and rank(view, 1) == 0
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 
@@ -499,7 +507,11 @@ def test_random_view_rank_matches_oracle(covers, seed):
     mask = seed % (1 << len(p))
     members = list(iter_bits(mask))
     assert view_rank(p, mask) == oracles.brute_rank(covers, members)
-    assert is_coherent(SuborderView(p, mask)) == oracles.coherent_by_recursion(covers, members)
+    view = SuborderView(p, mask)
+    assert [rank(view, h) for h in members] == [
+        oracles.brute_face_rank(covers, h, members) for h in members
+    ]
+    assert is_coherent(view) == oracles.coherent_by_recursion(covers, members)
     # the whole poset is read through its own cover lists; the drawn lists
     # may name a face below another listed cover, which the constructor drops
     assert is_coherent(p) == oracles.coherent_by_recursion(covers)

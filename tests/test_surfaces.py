@@ -1,5 +1,6 @@
 """Surface recognizer and coherence: base cases, instances, differentials."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -207,6 +208,22 @@ def test_a_poset_too_deep_for_the_recursion_is_refused(monkeypatch):
     for recognizer in (is_k_surface, border_mask_of, is_pcm, classify_recursive):
         with pytest.raises(DomainError, match=f"rank {MAX_RANK + 1} would nest"):
             recognizer(too_deep)
+
+
+def test_pcm_walk_nests_about_two_frames_per_rank(monkeypatch):
+    # the factor test sits in the one loop of Views.pcm; a chain of rank r
+    # then nests 2r frames and some, so MAX_RANK fits Python's default limit
+    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
+    p = chain_poset(64)
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 2 * p.rank() + 8)
+    try:
+        assert is_pcm(p).rank == 63
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
