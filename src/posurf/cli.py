@@ -3,7 +3,6 @@
 Exit codes: 0 completed, 1 domain/parse/usage error, 2 cross-check
 disagreement. Facet input is parsed to a simplicial complex; its face
 poset is built only by the commands that run a poset-level recognizer.
-POSURF_DISABLE_MEMO is read by the library, so every command obeys it.
 """
 
 from __future__ import annotations

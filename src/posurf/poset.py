@@ -246,16 +246,26 @@ class SuborderView:
 
         New ids follow ascending ambient ids (``members[i]`` becomes ``i``);
         labels are carried over. Covering is recomputed for the induced
-        order, which in general differs from the ambient covering.
+        order, which in general differs from the ambient covering. A face's
+        closure is scanned down the view's ranks: a face met there that no
+        cover found so far lies above is a cover.
         """
         members = self.members
         pos = {h: i for i, h in enumerate(members)}
         alpha = self.ambient.alpha_masks
-        beta = self.ambient.beta_masks
-        covers = []
-        for h in members:
-            below = alpha[h] & self.mask
-            covers.append(sorted(pos[x] for x in iter_bits(below) if not beta[x] & below))
+        levels = view_levels(self.ambient, self.mask)
+        covers: list[list[int]] = [[] for _ in members]
+        for r, level in enumerate(levels):
+            for h in iter_bits(level):
+                rest = alpha[h] & self.mask
+                below = r
+                while rest:
+                    below -= 1
+                    on = rest & levels[below]
+                    rest ^= on
+                    for x in iter_bits(on):
+                        covers[pos[h]].append(pos[x])
+                        rest &= ~alpha[x]
         labels = [self.ambient._labels[h] for h in members]
         return Poset(covers, labels)
 
@@ -295,16 +305,15 @@ def theta_view(obj: "Poset | SuborderView", h: int) -> SuborderView:
 # mask-level machinery shared by the recognizers
 
 
-def view_face_ranks(poset: Poset, mask: int) -> dict[int, int]:
-    """Per-face ranks of the suborder induced by ``mask`` (recomputed).
+def view_levels(poset: Poset, mask: int) -> list[int]:
+    """The faces of the suborder induced by ``mask``, by rank (recomputed).
 
-    Faces are placed in order of ambient rank, so each comes after every
-    face below it. ``levels[r]`` masks the faces placed at view rank r, and
-    a face goes one level above the highest level that meets its closure in
-    the view, found by scanning down from the top: a few mask tests per
-    face, where a max over the faces below it is quadratic on a long chain.
+    ``levels[r]`` masks the faces of view rank r. Faces are placed in order
+    of ambient rank, so each comes after every face below it, and a face
+    goes one level above the highest level that meets its closure in the
+    view, found by scanning down from the top: a few mask tests per face,
+    where a max over the faces below it is quadratic on a long chain.
     """
-    ranks: dict[int, int] = {}
     levels: list[int] = []
     alpha = poset.alpha_masks
     for h in sorted(iter_bits(mask), key=poset.face_ranks.__getitem__):
@@ -315,8 +324,7 @@ def view_face_ranks(poset: Poset, mask: int) -> dict[int, int]:
         if r == len(levels):
             levels.append(0)
         levels[r] |= 1 << h
-        ranks[h] = r
-    return ranks
+    return levels
 
 
 def view_rank(poset: Poset, mask: int) -> int:
@@ -327,7 +335,7 @@ def view_rank(poset: Poset, mask: int) -> int:
     """
     if mask == poset.full_mask:
         return poset.rank()
-    return max(view_face_ranks(poset, mask).values(), default=-1)
+    return len(view_levels(poset, mask)) - 1
 
 
 def is_coherent(obj: "Poset | SuborderView") -> bool:
@@ -420,7 +428,7 @@ def rank(obj: "Poset | SuborderView", h: int | None = None) -> int:
         return view_rank(view.ambient, view.mask)
     if h not in view:
         raise DomainError(f"face {h} is not a member of the view")
-    return view_face_ranks(view.ambient, view.mask)[h]
+    return next(r for r, level in enumerate(view_levels(view.ambient, view.mask)) if level >> h & 1)
 
 
 def connected_components(obj: "Poset | SuborderView") -> tuple[frozenset[int], ...]:

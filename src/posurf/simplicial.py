@@ -55,14 +55,17 @@ def _as_simplex(vertices: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def _canonical(simplices: Iterable[tuple[int, ...]]) -> tuple[frozenset, ...]:
-    """Sorted vertex tuples as frozensets, by dimension, then vertex tuple.
+def _canonical(simplices: list[tuple[int, ...]]) -> tuple[frozenset, ...]:
+    """Sort the vertex tuples in place, by dimension, then vertex tuple, and
+    return them as frozensets.
 
     Built from a list of known length: ``tuple()`` over a ``map`` grows by
     repeated resizing, and over many small complexes that fragmented the
     heap until peak RSS grew with the number of complexes built.
     """
-    return tuple([frozenset(t) for t in sorted(sorted(simplices), key=len)])
+    simplices.sort()
+    simplices.sort(key=len)
+    return tuple([frozenset(t) for t in simplices])
 
 
 class SimplicialComplex:
@@ -88,12 +91,14 @@ class SimplicialComplex:
             facets.append(vs)
             for r in range(1, len(vs) + 1):
                 closure.update(combinations(vs, r))
-        self._canonical = _canonical(closure)
+        self._canonical = _canonical(list(closure))
         self._dim = len(self._canonical[-1]) - 1 if closure else -1
         self._facets = _canonical(facets)
         self._vertices = tuple(sorted(set().union(*facets)))
+        # the top facets' vertex tuples, numbered as in ``_facets`` on a
+        # pure complex: the ridge index and the dual graph index them
+        self._top = [vs for vs in facets if len(vs) - 1 == self._dim > 0]
         self._poset: Poset | None = None
-        self._top: list[tuple[int, ...]] = []
         self._ridges: dict[tuple[int, ...], list[int]] | None = None
         self._adjacency: list[list[int]] | None = None
         self._pseudomanifold: bool | None = None
@@ -187,7 +192,6 @@ class SimplicialComplex:
         """Each ridge under a top facet (sorted vertex tuples) -> positions of
         its top cofaces in ``_top``; empty below dimension 1. Cached."""
         if self._ridges is None:
-            self._top = [tuple(sorted(f)) for f in self._facets if len(f) - 1 == self._dim > 0]
             self._ridges = _ridge_index(self._top)
         return self._ridges
 

@@ -9,11 +9,7 @@ shares the work of the others. The exceptions are the views that a bit
 test decides, which are never stored: surface views of at most two faces
 and PCM views of at most one. On a khalimsky block most surface views are
 that small, and each memo key is as wide as the poset, so storing them
-would cost more memory than deciding them again costs time. Setting
-``POSURF_DISABLE_MEMO`` to 1, true or yes turns every memo into one that
-never stores, and each call then recomputes from the definitions
-(differential debugging); the switch is read when a ``Views`` is made,
-which each public recognizer does per call.
+would cost more memory than deciding them again costs time.
 The recursion is depth-bounded: a strict neighborhood always has rank
 strictly below the view it was taken in. ``Views`` refuses a poset of rank
 above ``MAX_RANK`` with a DomainError, so the recursion never reaches
@@ -33,7 +29,6 @@ neighborhood is not an (n-1)-surface; the interior is the rest.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -59,13 +54,6 @@ NOT_HELD = -2
 MAX_RANK = 256
 
 
-class _NoMemo(dict):
-    """A memo that never stores."""
-
-    def __setitem__(self, key, value) -> None:
-        pass
-
-
 class Views:
     """Rank, surface, border and PCM tests on views of one poset."""
 
@@ -79,13 +67,11 @@ class Views:
         self.alpha = poset.alpha_masks
         self.beta = poset.beta_masks
         self.theta = poset.theta_masks
-        disabled = os.environ.get("POSURF_DISABLE_MEMO", "") in ("1", "true", "yes")
-        memo = (lambda name: _NoMemo()) if disabled else poset.memo
-        self._ranks = memo("view_rank")
-        self._connected = memo("connected")
-        self._surfaces = memo("surface")
-        self._borders = memo("border")
-        self._pcms = memo("pcm")
+        self._ranks = poset.memo("view_rank")
+        self._connected = poset.memo("connected")
+        self._surfaces = poset.memo("surface")
+        self._borders = poset.memo("border")
+        self._pcms = poset.memo("pcm")
 
     def rank(self, mask: int) -> int:
         """Rank of the view; -1 when empty."""

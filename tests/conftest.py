@@ -8,6 +8,8 @@ from posurf import (
     Poset,
     SimplicialComplex,
     annulus,
+    border,
+    classify_recursive,
     disk,
     join,
     khalimsky_block,
@@ -17,6 +19,7 @@ from posurf import (
     solid_simplex,
     sphere,
 )
+from posurf.surfaces import border_mask_of
 
 
 def path_complex(edges: int) -> SimplicialComplex:
@@ -105,14 +108,21 @@ def high_dimensional_stars() -> list[tuple[str, SimplicialComplex]]:
     )
 
 
-def memo_on_and_off(monkeypatch, fn):
-    """``fn()`` with the recognizers' memos on, then with POSURF_DISABLE_MEMO=1."""
-    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
-    on = fn()
-    monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
-    off = fn()
-    monkeypatch.delenv("POSURF_DISABLE_MEMO")
-    return on, off
+def warm_and_fresh(p: Poset, recognizers) -> tuple[list, list]:
+    """Each recognizer's answer on ``p``, from a copy whose memos
+    ``classify_recursive`` and ``border`` have filled, then each from its own
+    fresh copy. A memo entry that one recognizer leaves and another misreads
+    shows as a difference. The border recognizers skip the empty order."""
+    warm = Poset(p.cover_lists, p.labels)
+    classify_recursive(warm)
+    if len(p):
+        border(warm)
+    else:
+        recognizers = [r for r in recognizers if r not in (border, border_mask_of)]
+    return (
+        [recognize(warm) for recognize in recognizers],
+        [recognize(Poset(p.cover_lists, p.labels)) for recognize in recognizers],
+    )
 
 
 def chain_poset(n: int) -> Poset:

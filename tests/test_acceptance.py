@@ -27,15 +27,15 @@ from posurf import (
     sphere,
 )
 from posurf.poset import SuborderView, component_masks, iter_bits
-from posurf.surfaces import Views
+from posurf.surfaces import Views, border_mask_of
 
 from . import oracles
 from .conftest import (
     big_complex_corpus,
     complex_corpus,
     joins_and_gluings,
-    memo_on_and_off,
     poset_corpus,
+    warm_and_fresh,
 )
 from .test_propositions import (
     all_posets,
@@ -188,18 +188,21 @@ def test_criterion_3_proposition_suite():
     _passed(3, f"propositions hold on {len(complexes)} complexes and {n_pcms} PCMs")
 
 
-def test_criterion_4_differential_tests(monkeypatch):
+def test_criterion_4_differential_tests():
     complexes = complex_corpus() + big_complex_corpus()
     assert all(len(k) <= 200 for _, k in complexes)
 
-    # memoized vs unmemoized recognition
+    # recognition on warm memos vs fresh ones
+    recognizers = [is_k_surface, is_pcm, is_smooth_pcm, border, border_mask_of]
     targets = [p for _, p in poset_corpus()] + [k.face_poset() for _, k in complexes]
+    checks = 0
     for p in targets:
-        a, b = memo_on_and_off(monkeypatch, lambda: is_k_surface(p))
-        assert (a.holds, a.rank) == (b.holds, b.rank)
+        warm, fresh = warm_and_fresh(p, recognizers)
+        assert warm == fresh, p
+        checks += len(warm)
         # every strict neighborhood, one by one
-        a, b = memo_on_and_off(monkeypatch, lambda: list(map(Views(p).surface, p.theta_masks)))
-        assert a == b
+        warm, fresh = warm_and_fresh(p, [lambda q: list(map(Views(q).surface, q.theta_masks))])
+        assert warm == fresh, p
 
     # dual-graph connectivity vs the path-based definition, all pure inputs
     pure = [(n, k) for n, k in complexes if k.dim >= 1 and k.is_pure()]
@@ -228,7 +231,7 @@ def test_criterion_4_differential_tests(monkeypatch):
                 if path is not None:
                     assert oracles.is_valid_codim1_path(k, path, facets[0], f), name
     assert repaired >= 40
-    _passed(4, f"memo differential clean; {repaired} repaired paths validated")
+    _passed(4, f"warm-vs-fresh differential clean ({checks} checks); {repaired} repaired paths validated")
 
 
 def test_criterion_5_cut_and_glue():

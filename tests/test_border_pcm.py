@@ -33,10 +33,10 @@ from .conftest import (
     antichain_poset,
     chain_poset,
     high_dimensional_stars,
-    memo_on_and_off,
     path_complex,
     two_triangles_shared_edge,
     two_triangles_shared_vertex,
+    warm_and_fresh,
 )
 from .test_propositions import check_border_neighborhood_equality
 from .test_simplicial import random_complexes
@@ -149,16 +149,11 @@ def test_pcm_matches_brute_oracle(posets, complexes):
         assert (got.holds, got.rank) == expect
 
 
-def test_memoized_vs_unmemoized_pcm(posets, complexes, monkeypatch):
+def test_warm_and_fresh_memos_agree_on_pcms(posets, complexes):
     targets = [p for _, p in posets] + [k.face_poset() for _, k in complexes]
     for p in targets:
-        a, b = memo_on_and_off(monkeypatch, lambda: is_pcm(p))
-        assert (a.holds, a.rank) == (b.holds, b.rank)
-        c, d = memo_on_and_off(monkeypatch, lambda: is_smooth_pcm(p))
-        assert (c.holds, c.rank) == (d.holds, d.rank)
-        if len(p):
-            e, f = memo_on_and_off(monkeypatch, lambda: border(p))
-            assert e == f
+        warm, fresh = warm_and_fresh(p, [is_pcm, is_smooth_pcm, border, border_mask_of])
+        assert warm == fresh, p
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +314,10 @@ def _interval_keys(p: Poset) -> set[int]:
     return keys
 
 
-def test_pcm_walk_visits_only_intervals(monkeypatch):
+def test_pcm_walk_visits_only_intervals():
     # from the full poset each border neighborhood splits into an alpha and
     # a beta restriction, so every view the recursion stores is an interval,
     # at most (comparable pairs) + 2n + 1 views per memo
-    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
     instances = {
         "simplex 6": solid_simplex(6).face_poset(),
         "khalimsky 7x5": khalimsky_block(7, 5),
@@ -356,11 +350,9 @@ def test_cone_over_a_path_needs_condition_C():
     assert oracles.brute_is_smooth_pcm(covers) == (False, None)
 
 
-def test_smooth_matches_the_walk_on_named_instances(monkeypatch):
+def test_smooth_matches_the_walk_on_named_instances():
     # beyond the 8-face border cap of the partition oracle; is_pcm is
-    # checked against the walk that tests each neighborhood whole, which
-    # takes over a minute on simplex 6 unmemoized, so the memos stay on
-    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
+    # checked against the walk that tests each neighborhood whole
     instances = {
         "pinched-box 12": pinched_box(12),
         "disk 60": disk(60),
@@ -497,8 +489,7 @@ def test_condition_C_on_high_dimensional_stars():
     for name, k in pcms.items():
         assert check_condition_C(k) is oracles.condition_C_by_links(k) is False, name
     # the poset oracle runs the recursion on the face poset, so it checks the
-    # two smallest only: the 593-face 2x suspension takes 1.7 s, and 28 s
-    # with the memos off
+    # two smallest only: the 593-face 2x suspension takes 1.7 s
     for name in ("pinched-box 4 suspended 1x", "cone over 3-sphere prism"):
         assert oracles.condition_C_by_neighborhoods(pcms[name]) is False, name
 

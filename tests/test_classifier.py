@@ -30,11 +30,10 @@ def test_recursive_sphere2():
     assert c.category == "surface"
 
 
-def test_recursive_sphere7_decides_neighborhoods_by_their_factors(monkeypatch):
+def test_recursive_sphere7_decides_neighborhoods_by_their_factors():
     # a count, not a timing: the surface recursion memoizes the join factors
     # of the strict neighborhoods, which on sphere 7 (510 faces) are under
     # 20,000 views; the whole neighborhoods are about 1.7 million
-    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
     k = sphere(7)
     recursive, fast = classify_recursive(k), classify_fast(k)
     assert recursive.category == "surface"

@@ -268,21 +268,6 @@ def test_gen_random_pure_fails_fast_or_draws_fast(capsys):
     assert time.perf_counter() - start < 1
 
 
-def test_memo_disable_env_var(capsys, monkeypatch):
-    text = write_facets(sphere(2))
-    monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
-    code, out_nomemo, _ = run_cli(
-        ["classify", "--mode", "both"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
-    )
-    assert code == 0
-    monkeypatch.delenv("POSURF_DISABLE_MEMO")
-    code, out_memo, _ = run_cli(
-        ["classify", "--mode", "both"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
-    )
-    assert code == 0
-    assert out_nomemo == out_memo
-
-
 def test_classify_counts_faces_without_the_face_poset(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("face poset built")

@@ -1,5 +1,7 @@
 """Poset core: operators, ranks, components, joins, isomorphism, Hasse IO."""
 
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -236,10 +238,38 @@ def test_view_ranks_recomputed_not_inherited(posets, complexes):
 
 def test_rank_of_a_long_proper_chain_view():
     # each face of a view is placed one level above the highest level that
-    # meets its closure, so a 3999-face chain view is ranked in milliseconds
+    # meets its closure, so a 3999-face chain view is ranked in milliseconds;
+    # each face's covers are then read off its closure level by level, where
+    # testing each comparable pair took 3.5 s, and as long for is_coherent,
+    # which materializes any view that is not the whole poset
     view = restrict(chain_poset(4000), range(1, 4000))
     assert rank(view) == view_rank(view.ambient, view.mask) == 3998
     assert rank(view, 3999) == 3998 and rank(view, 1) == 0
+    start = time.perf_counter()
+    p = view.to_poset()
+    assert time.perf_counter() - start < 0.5
+    assert p.rank() == 3998 and p.cover_lists[1:] == tuple((i,) for i in range(3998))
+    start = time.perf_counter()
+    assert is_coherent(view)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_view_covers_match_the_strict_order_on_random_views():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(25)
+        covers = [rng.sample(range(h), min(h, rng.randrange(4))) for h in range(n)]
+        below = oracles.strict_below(covers)
+        view = SuborderView(Poset(covers, [f"f{h}" for h in range(n)]), rng.randrange(1 << n))
+        members = view.members
+        closures = [below[h] & set(members) for h in members]
+        expect = [
+            sorted(members.index(x) for x in closure if not any(x in below[y] for y in closure))
+            for closure in closures
+        ]
+        p = view.to_poset()
+        assert [list(cs) for cs in p.cover_lists] == expect, (covers, members)
+        assert p.labels == tuple(f"f{h}" for h in members)
 
 
 # ---------------------------------------------------------------------------

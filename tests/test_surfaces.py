@@ -8,10 +8,12 @@ import pytest
 from posurf import (
     DomainError,
     Poset,
+    border,
     classify_recursive,
     is_coherent,
     is_k_surface,
     is_pcm,
+    is_smooth_pcm,
     join,
     khalimsky_block,
     pinched_sphere,
@@ -22,7 +24,7 @@ from posurf import (
 from posurf.surfaces import border_mask_of
 from posurf.surfaces import MAX_RANK
 
-from .conftest import antichain_poset, chain_poset, memo_on_and_off
+from .conftest import antichain_poset, chain_poset, warm_and_fresh
 from . import oracles
 
 
@@ -90,7 +92,6 @@ def test_random_posets_match_brute_oracles():
     # random views
     import random
 
-    from posurf import border, is_pcm, is_smooth_pcm
     from posurf.poset import SuborderView, iter_bits
     from posurf.surfaces import NOT_HELD, Views
 
@@ -148,39 +149,25 @@ def test_random_posets_match_brute_oracles():
             check_smooth_and_border(p, view.mask)
 
 
-def test_memoized_vs_unmemoized_agree(posets, complexes, monkeypatch):
+def test_warm_and_fresh_memos_agree_on_surfaces(posets, complexes):
     targets = [p for _, p in posets] + [k.face_poset() for _, k in complexes]
     for p in targets:
-        with_memo, without = memo_on_and_off(monkeypatch, lambda: is_k_surface(p))
-        assert (with_memo.holds, with_memo.rank) == (without.holds, without.rank)
-        coherent, coherent_without = memo_on_and_off(monkeypatch, lambda: is_coherent(p))
-        assert coherent == coherent_without
+        warm, fresh = warm_and_fresh(p, [is_k_surface])
+        assert warm == fresh, p
 
 
-def test_memo_switch_stores_nothing(monkeypatch):
-    from posurf import border, is_pcm, is_smooth_pcm
-
-    names = ("view_rank", "connected", "surface", "border", "pcm")
-    recognizers = (is_k_surface, is_coherent, border, is_pcm, is_smooth_pcm)
-    monkeypatch.setenv("POSURF_DISABLE_MEMO", "1")
+def test_every_recognizer_fills_its_memos():
     p = sphere(2).face_poset()
-    for recognizer in recognizers:
+    for recognizer in (is_k_surface, border, is_pcm, is_smooth_pcm):
         recognizer(p)
     assert is_k_surface(p).rank == 2
-    assert [len(p.memo(name)) for name in names] == [0] * 5
-    monkeypatch.delenv("POSURF_DISABLE_MEMO")
-    q = sphere(2).face_poset()
-    for recognizer in recognizers:
-        recognizer(q)
-    assert is_k_surface(q).rank == 2
-    assert all(len(q.memo(name)) > 0 for name in names)
+    assert all(p.memo(name) for name in ("view_rank", "connected", "surface", "border", "pcm"))
 
 
-def test_views_a_bit_test_decides_are_never_stored(monkeypatch):
+def test_views_a_bit_test_decides_are_never_stored():
     # surface views of at most two faces and PCM views of at most one are
     # decided before the memo is read; on a khalimsky block they are most
     # of the surface views, and storing them more than tripled the traced peak
-    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
     p = khalimsky_block(24, 24)
     tracemalloc.start()
     try:
@@ -194,14 +181,12 @@ def test_views_a_bit_test_decides_are_never_stored(monkeypatch):
     assert peak < 1_000_000
 
 
-def test_a_poset_too_deep_for_the_recursion_is_refused(monkeypatch):
+def test_a_poset_too_deep_for_the_recursion_is_refused():
     # each rank nests about two frames; a chain of MAX_RANK + 1 faces is
     # taken, one face more is refused before any view is evaluated
     deepest = chain_poset(MAX_RANK + 1)
-    for env in ("", "1"):
-        monkeypatch.setenv("POSURF_DISABLE_MEMO", env)
-        assert not is_k_surface(deepest).holds
-        assert border_mask_of(deepest) == deepest.full_mask
+    assert not is_k_surface(deepest).holds
+    assert border_mask_of(deepest) == deepest.full_mask
     too_deep = chain_poset(MAX_RANK + 2)
     # coherence is decided from face ranks, with no recursion
     assert is_coherent(too_deep)
@@ -210,10 +195,9 @@ def test_a_poset_too_deep_for_the_recursion_is_refused(monkeypatch):
             recognizer(too_deep)
 
 
-def test_pcm_walk_nests_about_two_frames_per_rank(monkeypatch):
+def test_pcm_walk_nests_about_two_frames_per_rank():
     # the factor test sits in the one loop of Views.pcm; a chain of rank r
     # then nests 2r frames and some, so MAX_RANK fits Python's default limit
-    monkeypatch.delenv("POSURF_DISABLE_MEMO", raising=False)
     p = chain_poset(64)
     depth, frame = 0, sys._getframe()
     while frame:
