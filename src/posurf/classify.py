@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
@@ -30,14 +31,13 @@ from .poset import as_view
 # The recognizers are called through these module globals, which the
 # benchmark's tracer (perfbench/tracing.py) patches by name.
 from .simplicial import SimplicialComplex, check_condition_C, write_facets
-from .surfaces import Views, border_mask_of, is_k_surface, is_pcm, is_smooth_pcm
+from .surfaces import border_mask_of, is_k_surface, is_pcm, is_smooth_pcm
 
 __all__ = [
     "Classification",
     "classify_recursive",
     "classify_fast",
     "classify_both",
-    "CrossCheckRow",
     "CrossCheckReport",
     "cross_check",
 ]
@@ -107,7 +107,7 @@ def classify_recursive(obj) -> Classification:
     sv = _timed(timings, "surface", lambda: is_k_surface(view))
     pv = _timed(timings, "pcm", lambda: is_pcm(view))
     mv = _timed(timings, "smooth_pcm", lambda: is_smooth_pcm(view))
-    r = Views(view.ambient).rank(view.mask)
+    r = view.rank()
     border_empty = r < 0 or _timed(timings, "border", lambda: border_mask_of(view) == 0)
     cls = Classification(
         rank=r,
@@ -194,21 +194,8 @@ def classify_both(k) -> Classification:
     return replace(recursive, path="both", timings=timings)
 
 
-@dataclass
-class CrossCheckRow:
-    name: str
-    faces: int
-    category: str
-    fast_s: float
-    recursive_s: float
-
-    @property
-    def speedup(self) -> float:
-        return self.recursive_s / self.fast_s if self.fast_s > 0 else float("inf")
-
-
-# The fields of a row of ``CrossCheckReport.to_dict()``, each with the
-# width of its column in ``table()``.
+# The fields of a ``CrossCheckReport`` row, in order, each with the width
+# of its column in ``table()``.
 _ROW_WIDTHS = {
     "instance": 28, "faces": 6, "category": 9, "fast_ms": 9, "recursive_ms": 13, "speedup": 8,
 }
@@ -216,26 +203,21 @@ _ROW_WIDTHS = {
 
 @dataclass
 class CrossCheckReport:
-    rows: list[CrossCheckRow]
+    """One row per instance, as ``posurf bench --json`` prints it: the
+    fields of ``_ROW_WIDTHS``, times in milliseconds."""
+
+    rows: list[dict]
 
     @property
     def category_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            counts[row.category] = counts.get(row.category, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(row["category"] for row in self.rows).items()))
 
     def to_dict(self) -> dict:
-        """The rows, times in milliseconds, and the category counts."""
-        rows = [
-            dict(zip(_ROW_WIDTHS, (r.name, r.faces, r.category, round(r.fast_s * 1000, 3),
-                                   round(r.recursive_s * 1000, 3), round(r.speedup, 2))))
-            for r in self.rows
-        ]
-        return {"rows": rows, "category_counts": self.category_counts}
+        """The rows and the category counts."""
+        return {"rows": self.rows, "category_counts": self.category_counts}
 
     def table(self) -> str:
-        """The rows of ``to_dict()`` as a text table, with the category mix."""
+        """The rows as a text table, with the category mix."""
 
         def line(cells) -> str:
             return " ".join(
@@ -245,7 +227,7 @@ class CrossCheckReport:
 
         header = line(k.replace("_", " ") for k in _ROW_WIDTHS)
         lines = [header, "-" * len(header)]
-        lines += [line(row.values()) for row in self.to_dict()["rows"]]
+        lines += [line(row.values()) for row in self.rows]
         mix = ", ".join(f"{k}={v}" for k, v in self.category_counts.items())
         lines.append(f"instance mix: {mix}")
         return "\n".join(lines)
@@ -281,5 +263,7 @@ def cross_check(
             target = Path(dump_dir or ".") / f"crosscheck-{safe}.facets"
             target.write_text(write_facets(k))
             raise CrossCheckError(f"{name}: " + "; ".join(issues), artifact=str(target))
-        rows.append(CrossCheckRow(name, len(k), recursive.category, t_fast, t_rec))
+        speedup = round(t_rec / t_fast if t_fast > 0 else float("inf"), 2)
+        ms = (round(t_fast * 1000, 3), round(t_rec * 1000, 3))
+        rows.append(dict(zip(_ROW_WIDTHS, (name, len(k), recursive.category, *ms, speedup))))
     return CrossCheckReport(rows)

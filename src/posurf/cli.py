@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .classify import VERDICT_FIELDS, classify_both, classify_fast, classify_recursive, cross_check
@@ -26,6 +27,8 @@ _GOLDEN_BENCH = ("simplex 0", "simplex 1", "simplex 3", "sphere 2", "disk 6", "a
                  "pinched-sphere", "pinched-box 6", "pinched-box 4")
 
 _CLASSIFIERS = {"fast": classify_fast, "recursive": classify_recursive, "both": classify_both}
+
+_READERS = {"facets": read_facets, "hasse": from_hasse}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,8 +49,7 @@ def _read_text(path: str | None) -> str:
 
 def _load(args):
     """The parsed complex or poset."""
-    text = _read_text(args.file)
-    return read_facets(text) if args.format == "facets" else from_hasse(text)
+    return _READERS[args.format](_read_text(args.file))
 
 
 def _poset(obj):
@@ -75,9 +77,7 @@ _CHECKS = {
 def _faces_by_rank(obj) -> dict[str, int]:
     if isinstance(obj, SimplicialComplex):
         return {str(r): c for r, c in enumerate(obj.f_vector())}
-    counts: dict[int, int] = {}
-    for r in obj.face_ranks:
-        counts[r] = counts.get(r, 0) + 1
+    counts = Counter(obj.face_ranks)
     return {str(r): counts[r] for r in sorted(counts)}
 
 
@@ -90,14 +90,10 @@ def _verdict_line(name: str, value) -> str:
 
 def _cmd_gen(args) -> int:
     obj = generate(args.name, *args.params)
-    if isinstance(obj, SimplicialComplex):
-        fmt = args.format or "facets"
-        text = write_facets(obj) if fmt == "facets" else to_hasse(obj.face_poset())
-    else:
-        fmt = args.format or "hasse"
-        if fmt == "facets":
-            raise DomainError(f"{args.name} produces a poset; only --format hasse applies")
-        text = to_hasse(obj)
+    simplicial = isinstance(obj, SimplicialComplex)
+    if args.format == "facets" and not simplicial:
+        raise DomainError(f"{args.name} produces a poset; only --format hasse applies")
+    text = write_facets(obj) if simplicial and args.format != "hasse" else to_hasse(_poset(obj))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -160,16 +156,11 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     instances = [(spec, generate(*spec.split())) for spec in _GOLDEN_BENCH]
     instances.append(("suspension of annulus 4", simplicial_join(generate("annulus", 4), sphere(0))))
-    for n in range(args.max_sphere + 1):
-        instances.append((f"sphere {n}", sphere(n)))
+    instances += [(f"sphere {n}", sphere(n)) for n in range(args.max_sphere + 1)]
     for i in range(args.random):
         dim = 1 + i % 3
-        instances.append(
-            (
-                f"random-pure d{dim} #{i}",
-                random_pure_complex(dim, 8 + i % 5, 4 + i % 9, seed=args.seed + i),
-            )
-        )
+        k = random_pure_complex(dim, 8 + i % 5, 4 + i % 9, seed=args.seed + i)
+        instances.append((f"random-pure d{dim} #{i}", k))
     report = cross_check(instances)
     if args.json:
         print(json.dumps({"command": "bench", **report.to_dict()}, indent=2))
@@ -182,20 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posurf", description="discrete surface / PCM / pseudomanifold toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="emit a named instance", parents=[], add_help=True)
+    p_gen = sub.add_parser("gen", help="emit a named instance")
     p_gen.add_argument("name", choices=generator_names())
     p_gen.add_argument("params", nargs="*", type=int)
     p_gen.add_argument("-o", "--output")
-    p_gen.add_argument("--format", choices=["facets", "hasse"])
+    p_gen.add_argument("--format", choices=_READERS)
     p_gen.set_defaults(func=_cmd_gen)
 
     def add_input(p):
         p.add_argument("file", nargs="?", help="input file; '-' or absent reads stdin")
-        p.add_argument("--format", choices=["facets", "hasse"], default="facets")
+        p.add_argument("--format", choices=_READERS, default="facets")
 
     p_cls = sub.add_parser("classify", help="full classification report")
     add_input(p_cls)
-    p_cls.add_argument("--mode", choices=["fast", "recursive", "both"])
+    p_cls.add_argument("--mode", choices=_CLASSIFIERS)
     p_cls.add_argument("--json", action="store_true")
     p_cls.set_defaults(func=_cmd_classify)
 
@@ -206,11 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a single recognizer")
     add_input(p_check)
     which = p_check.add_mutually_exclusive_group(required=True)
-    which.add_argument("--surface", action="store_true")
-    which.add_argument("--pcm", action="store_true")
-    which.add_argument("--smooth", action="store_true")
-    which.add_argument("--pseudomanifold", action="store_true")
-    which.add_argument("--normal", action="store_true")
+    for flag in _CHECKS:
+        which.add_argument(f"--{flag}", action="store_true")
     p_check.set_defaults(func=_cmd_check)
 
     p_bench = sub.add_parser("bench", help="cross-check corpus with timing table")

@@ -503,13 +503,16 @@ def from_hasse(text: str) -> Poset:
 
     A ``rank <n>`` line is optional and verified against the computed rank.
     Refused at face record ``MAX_POSET_FACES`` + 1, before the rest of the
-    text is read: a poset of that many faces is refused anyway.
+    text is read: a poset of that many faces is refused anyway. So is a
+    record with more covered ids than that, which only repeated ids reach
+    in a poset admitted; a line is split at most one id past them.
     """
     records: dict[int, tuple[str | None, list[int]]] = {}
     declared: int | None = None
     declared_line = 0
     for no, line in content_lines(text):
-        toks = line.split()
+        # 'f <id> <label> :' and one covered id past the limit
+        toks = line.split(None, MAX_POSET_FACES + 4)
         if toks[0] == "rank":
             if len(toks) != 2:
                 raise ParseError("malformed rank line", no)
@@ -518,7 +521,7 @@ def from_hasse(text: str) -> Poset:
             try:
                 declared = int(toks[1])
             except ValueError:
-                raise ParseError(f"rank is not an integer: {toks[1]!r}", no) from None
+                raise ParseError(f"rank is not an integer: {toks[1]!r:.40}", no) from None
             declared_line = no
         elif toks[0] == "f":
             if len(records) == MAX_POSET_FACES:
@@ -529,13 +532,16 @@ def from_hasse(text: str) -> Poset:
             try:
                 fid = int(toks[1])
             except ValueError:
-                raise ParseError(f"face id is not an integer: {toks[1]!r}", no) from None
+                raise ParseError(f"face id is not an integer: {toks[1]!r:.40}", no) from None
             if toks[2] == ":":
                 label, rest = None, toks[3:]
             elif len(toks) > 3 and toks[3] == ":":
                 label, rest = toks[2], toks[4:]
             else:
                 raise ParseError("missing ':' separator in face record", no)
+            if len(rest) > MAX_POSET_FACES:
+                msg = f"face record names over {MAX_POSET_FACES} covered ids"
+                raise ParseError(f"{msg}, above the limit of {MAX_POSET_FACES} faces", no)
             try:
                 covered = [int(t) for t in rest]
             except ValueError:
@@ -544,7 +550,7 @@ def from_hasse(text: str) -> Poset:
                 raise ParseError(f"duplicate face id {fid}", no)
             records[fid] = (label, covered)
         else:
-            raise ParseError(f"unknown record {toks[0]!r}", no)
+            raise ParseError(f"unknown record {toks[0]!r:.40}", no)
     n = len(records)
     if sorted(records) != list(range(n)):
         raise ParseError("face ids are not dense from 0")

@@ -385,18 +385,24 @@ def read_facets(text: str) -> SimplicialComplex:
     has more than ``MAX_FACES`` faces, or that is the ``MAX_FACES`` + 1-th
     distinct simplex. Both bounds are exact: every simplex read is a face of
     the closure, so the constructor, which reads every line first, refuses
-    each such input too.
+    each such input too. A line is split at most one vertex past the largest
+    simplex admitted (17), and a longer line is refused by its first
+    vertices, so it costs no more than its text.
     """
+    most = (MAX_FACES + 1).bit_length() - 1
     simplices: set[frozenset[int]] = set()
     bound = 0
     for no, line in content_lines(text):
+        toks = line.split(None, most + 1)
+        if len(toks) > most + 1:
+            what = f"line {no}: a simplex on its first {most + 2} vertices"
+            refuse_faces(what, (1 << most + 2) - 1)
         try:
-            verts = [int(t) for t in line.split()]
+            s = frozenset(map(int, toks))
         except ValueError:
-            raise ParseError(f"facet vertices must be integers: {line!r}", no) from None
-        s = frozenset(verts)
-        if len(s) != len(verts):
-            raise ParseError(f"repeated vertex in facet: {line!r}", no)
+            raise ParseError("facet vertices must be integers", no) from None
+        if len(s) != len(toks):
+            raise ParseError("repeated vertex in facet", no)
         faces = (1 << len(s)) - 1
         if faces > MAX_FACES:
             refuse_faces(f"line {no}: a simplex of {len(s)} vertices", faces)

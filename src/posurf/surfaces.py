@@ -11,20 +11,23 @@ and PCM views of at most one. On a khalimsky block most surface views are
 that small, and each memo key is as wide as the poset, so storing them
 would cost more memory than deciding them again costs time.
 The recursion is depth-bounded: a strict neighborhood always has rank
-strictly below the view it was taken in. ``Views`` refuses a poset of rank
-above ``MAX_RANK`` with a DomainError, so the recursion never reaches
-Python's frame limit. The surface, border and PCM tests split each strict
-neighborhood into its two join factors, the strict closure and the strict
-opening, by the join laws for surfaces (see ``Views.surface``) and for
-PCMs (see ``Views.pcm``, which proves it). So every view that the PCM
-walk from a whole poset visits, with the surface and border tests under
-it, is an interval: at most (comparable pairs) + 2n + 1 views over n
-faces. The PCM test is one walk over the border that ``Views.border``
-computes. A smooth PCM is a PCM whose border satisfies condition (C), on
-every poset (see ``is_smooth_pcm``, which proves it), so smoothness is
-read off the border after that one walk. Only the border and PCM tests
-compute ranks. The border of a rank-n view collects the faces whose strict
-neighborhood is not an (n-1)-surface; the interior is the rest.
+strictly below the view it was taken in, and the recursion from a view
+visits only that view's subviews. So each recognizer refuses a view (not
+its ambient poset) of rank above ``MAX_RANK`` with a DomainError
+(``views_of``), and the recursion never reaches Python's frame limit.
+The surface, border and PCM tests split each strict neighborhood into its
+two join factors, the strict closure and the strict opening, by the join
+laws for surfaces (see ``Views.surface``) and for PCMs (see ``Views.pcm``,
+which proves it). So every view that the PCM walk from a whole poset
+visits, with the surface and border tests under it, is an interval: at
+most (comparable pairs) + 2n + 1 views over n faces. The PCM test is one
+walk over the border that ``Views.border`` computes. A smooth PCM is a PCM
+whose border satisfies condition (C), on every poset (see
+``is_smooth_pcm``, which proves it), so smoothness is read off the border
+after that one walk. Below the view a recognizer starts from, only the
+border and PCM tests compute ranks. The border of a rank-n view collects
+the faces whose strict neighborhood is not an (n-1)-surface; the interior
+is the rest.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ __all__ = [
 # The rank the recursion returns for a view that is not a surface or PCM.
 NOT_HELD = -2
 
-# Upper bound on the rank of a poset the recursion takes. Each rank nests
+# Upper bound on the rank of the view the recursion starts from, which it
+# never leaves, so the ambient poset may be deeper. Each rank nests
 # about two frames (a view, then a join factor of one of its
 # neighborhoods): ``is_pcm`` on a 100-face chain (rank 99) needs a frame
 # limit of 202 from the top level, 2.02 frames per rank, so rank 256 needs
@@ -58,11 +62,6 @@ class Views:
     """Rank, surface, border and PCM tests on views of one poset."""
 
     def __init__(self, poset: Poset):
-        if poset.rank() > MAX_RANK:
-            raise DomainError(
-                f"a poset of rank {poset.rank()} would nest the recursion {poset.rank()} "
-                f"views deep, above the limit of {MAX_RANK}"
-            )
         self.poset = poset
         self.alpha = poset.alpha_masks
         self.beta = poset.beta_masks
@@ -228,6 +227,18 @@ class Views:
         return result
 
 
+def views_of(obj: "Poset | SuborderView") -> tuple[Views, int]:
+    """The ``Views`` of ``obj``'s poset and ``obj``'s mask, once ``obj``'s
+    rank (O(1) on a whole poset) is found to be within ``MAX_RANK``."""
+    view = as_view(obj)
+    views = Views(view.ambient)
+    r = views.rank(view.mask)
+    if r > MAX_RANK:
+        msg = f"a poset of rank {r} would nest the recursion {r} views deep"
+        raise DomainError(f"{msg}, above the limit of {MAX_RANK}")
+    return views, view.mask
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a recognizer: ``rank`` is the k for which the view is a
@@ -248,8 +259,8 @@ def _verdict(rank: int) -> Verdict:
 
 def is_k_surface(obj: "Poset | SuborderView") -> Verdict:
     """Run the recursive surface recognizer on a poset or suborder view."""
-    view = as_view(obj)
-    return _verdict(Views(view.ambient).surface(view.mask))
+    views, mask = views_of(obj)
+    return _verdict(views.surface(mask))
 
 
 @dataclass(frozen=True)
@@ -271,8 +282,8 @@ class BorderDecomposition:
 
 def border_mask_of(obj: "Poset | SuborderView") -> int:
     """Bitmask of the border faces of a poset or view of rank >= 0."""
-    view = as_view(obj)
-    return Views(view.ambient).border(view.mask)
+    views, mask = views_of(obj)
+    return views.border(mask)
 
 
 def border(obj: "Poset | SuborderView") -> BorderDecomposition:
@@ -282,22 +293,21 @@ def border(obj: "Poset | SuborderView") -> BorderDecomposition:
     the (rank-1)-surface target; the border faces are then partitioned
     into theta-connected components, each with its surface verdict.
     """
-    view = as_view(obj)
-    views = Views(view.ambient)
-    bmask = views.border(view.mask)
+    views, mask = views_of(obj)
+    bmask = views.border(mask)
     return BorderDecomposition(
         border_faces=frozenset(iter_bits(bmask)),
-        interior_faces=frozenset(iter_bits(view.mask & ~bmask)),
+        interior_faces=frozenset(iter_bits(mask & ~bmask)),
         components=tuple(
             (frozenset(iter_bits(cm)), _verdict(views.surface(cm)))
-            for cm in component_masks(view.ambient, bmask)
+            for cm in component_masks(views.poset, bmask)
         ),
     )
 
 
 def is_pcm(obj: "Poset | SuborderView") -> Verdict:
-    view = as_view(obj)
-    return _verdict(Views(view.ambient).pcm(view.mask))
+    views, mask = views_of(obj)
+    return _verdict(views.pcm(mask))
 
 
 def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
@@ -345,11 +355,10 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
     theta_{B_W}(x) = theta_N(x) is an (n-3)-surface, and is smooth by
     induction.
     """
-    view = as_view(obj)
-    views = Views(view.ambient)
-    n = views.pcm(view.mask)
+    views, mask = views_of(obj)
+    n = views.pcm(mask)
     if n >= 1:
-        bmask = views.border(view.mask)
+        bmask = views.border(mask)
         if any(views._nbhd(h, bmask) != n - 2 for h in iter_bits(bmask)):
             n = NOT_HELD
     return _verdict(n)

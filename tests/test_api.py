@@ -12,7 +12,7 @@ SUBMODULES = (classify, errors, generators, poset, simplicial, surfaces)
 
 PUBLIC = {
     "BorderDecomposition", "Classification", "CrossCheckError", "CrossCheckReport",
-    "CrossCheckRow", "DomainError", "ParseError", "Poset", "PosurfError",
+    "DomainError", "ParseError", "Poset", "PosurfError",
     "SimplicialComplex", "SuborderView", "Verdict", "annulus", "as_view", "border",
     "check_condition_C", "classify_both", "classify_fast", "classify_recursive",
     "connected_components", "cross_check", "disk", "from_hasse", "generate", "generator_names",
@@ -56,3 +56,4 @@ def test_retired_api_is_gone():
     assert not hasattr(posurf.sphere(1), "_face_ids")
     for name in ("SurfaceVerdict", "PcmVerdict", "NOT_SURFACE", "NOT_PCM", "_pcm_verdict"):
         assert not hasattr(surfaces, name), name
+    assert not hasattr(posurf, "CrossCheckRow") and not hasattr(classify, "CrossCheckRow")

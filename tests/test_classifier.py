@@ -178,7 +178,7 @@ def test_cross_check_agreement_and_mix(tmp_path):
         ("shared vertex", two_triangles_shared_vertex()),
     ]
     report = cross_check(instances, dump_dir=tmp_path)
-    assert [r.name for r in report.rows] == [n for n, _ in instances]
+    assert [r["instance"] for r in report.rows] == [n for n, _ in instances]
     assert report.category_counts == {"neither": 2, "pcm": 1, "surface": 1}
     table = report.table()
     assert "sphere 2" in table and "speedup" in table

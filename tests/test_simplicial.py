@@ -1,6 +1,7 @@
 """Simplicial complexes: construction, links, joins, pseudomanifold tests."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from posurf import (
     DomainError,
     ParseError,
+    PosurfError,
     SimplicialComplex,
     annulus,
     disk,
+    from_hasse,
     icosahedron,
     is_k_surface,
     local_sets,
@@ -481,6 +484,34 @@ def test_huge_facet_is_refused_without_printing_its_bound():
     # the bound 2^15000 - 1 has more digits than str() converts
     with pytest.raises(DomainError, match="above the limit of"):
         read_facets(" ".join(str(v) for v in range(15000)) + "\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (read_facets, " ".join(map(str, range(2_000_000))), "19 vertices .* above the limit"),
+        (read_facets, " ".join(["1"] * 2_000_000), "19 vertices .* above the limit"),
+        (from_hasse, "f 0 : " + " ".join(map(str, range(1, 2_000_001))), "ids, above the limit"),
+        (read_facets, "1" * 2_000_000, "facet vertices must be integers"),
+        (from_hasse, "x" * 2_000_000, "unknown record 'xxx"),
+        (from_hasse, "f " + "1" * 2_000_000 + " :", "face id is not an integer: '111"),
+        (from_hasse, "rank " + "1" * 2_000_000, "rank is not an integer: '111"),
+    ],
+    ids=["2M vertices", "2M repeated vertices", "2M covered ids", "long vertex",
+         "long record type", "long face id", "long rank"],
+)
+def test_a_long_line_is_refused_at_the_cost_of_its_text(parse, text, message):
+    # splitting every token of such a line took about 18 times its text,
+    # and some messages quoted the whole line
+    tracemalloc.start()
+    try:
+        with pytest.raises(PosurfError, match=f"^line 1: .*{message}") as err:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(err.value)) < 200
+    assert peak < 4 * len(text)
 
 
 def test_facet_comments_and_empty():

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from posurf import (
     join,
     khalimsky_block,
     pinched_sphere,
+    restrict,
     solid_simplex,
     sphere,
     theta_view,
@@ -190,9 +192,20 @@ def test_a_poset_too_deep_for_the_recursion_is_refused():
     too_deep = chain_poset(MAX_RANK + 2)
     # coherence is decided from face ranks, with no recursion
     assert is_coherent(too_deep)
-    for recognizer in (is_k_surface, border_mask_of, is_pcm, classify_recursive):
+    recognizers = (is_k_surface, border_mask_of, border, is_pcm, is_smooth_pcm)
+    for recognizer in recognizers + (classify_recursive,):
         with pytest.raises(DomainError, match=f"rank {MAX_RANK + 1} would nest"):
             recognizer(too_deep)
+    # the bound is on the view the recursion starts from, which it never
+    # leaves: a 3-face view of that chain is decided as its own poset is
+    view = restrict(too_deep, [0, 1, 2])
+    alone = view.to_poset()
+    assert is_pcm(view).rank == 2
+    for recognizer in recognizers:
+        assert recognizer(view) == recognizer(alone), recognizer.__name__
+    assert replace(classify_recursive(view), timings={}) == replace(
+        classify_recursive(alone), timings={}
+    )
 
 
 def test_pcm_walk_nests_about_two_frames_per_rank():
