@@ -1,12 +1,15 @@
 """Finite partially ordered sets stored by their covering (Hasse) relation.
 
 Faces are dense integer ids ``0..n-1``. The full strict order is derived
-from the covering relation once, as per-face bitmasks, and cached on the
-poset:
+from the covering relation once, as two per-face bitmask tables stored on
+the poset:
 
 * ``alpha_masks[h]``  faces strictly below ``h`` (combinatorial closure)
 * ``beta_masks[h]``   faces strictly above ``h`` (combinatorial opening)
-* ``theta_masks[h]``  their union (the strict neighborhood)
+
+The strict neighborhood theta(h) is their union. The library derives it
+for just the faces it reads (``theta_mask``); the table ``theta_masks``
+is built only when something reads it.
 
 A suborder is a :class:`SuborderView`: the ambient poset plus a member
 bitmask. All recognizers in this package work on such views, so a face
@@ -23,6 +26,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParseError
@@ -45,8 +49,9 @@ __all__ = [
 
 
 # Upper bound on the faces of a poset, checked before any bitmask is built.
-# The three strict-order bitmask tables grow quadratically in the face
-# count: about 2 MB at 3.2k faces, 50 MB at 16k and 850 MB at 64k.
+# The two strict-order bitmask tables grow quadratically in the face
+# count: on annulus face posets about 1.4 MB at 3.2k faces, 32 MB at 16k
+# and over 500 MB at 64k.
 MAX_POSET_FACES = 1 << 14
 
 
@@ -172,7 +177,6 @@ class Poset:
         self._covers = tuple(cover_lists)
         self.alpha_masks = tuple(alpha)
         self.beta_masks = tuple(beta)
-        self.theta_masks = tuple(a | b for a, b in zip(alpha, beta))
         self.face_ranks = tuple(ranks)
         self._rank = max(ranks) if n else -1
         self._memo: dict[str, dict] = {}
@@ -206,6 +210,15 @@ class Poset:
     def _check_face(self, h: int) -> None:
         if not isinstance(h, int) or not 0 <= h < self._n:
             raise DomainError(f"unknown face id {h!r}")
+
+    @cached_property
+    def theta_masks(self) -> tuple[int, ...]:
+        """``theta_mask`` of every face, as a table built on first read.
+
+        No recognizer reads it: it is a third quadratic table, and each
+        reader of a strict neighborhood derives just the faces it needs.
+        """
+        return tuple(a | b for a, b in zip(self.alpha_masks, self.beta_masks))
 
     def memo(self, name: str) -> dict:
         """Named cache scoped to this poset (compute-once contract)."""
@@ -298,11 +311,16 @@ def theta_view(obj: "Poset | SuborderView", h: int) -> SuborderView:
     view = as_view(obj)
     if h not in view:
         raise DomainError(f"face {h} is not a member of the poset/view")
-    return SuborderView(view.ambient, view.ambient.theta_masks[h] & view.mask)
+    return SuborderView(view.ambient, theta_mask(view.ambient, h) & view.mask)
 
 
 # ---------------------------------------------------------------------------
 # mask-level machinery shared by the recognizers
+
+
+def theta_mask(poset: Poset, h: int) -> int:
+    """The strict neighborhood of face ``h``: its closure and its opening."""
+    return poset.alpha_masks[h] | poset.beta_masks[h]
 
 
 def view_levels(poset: Poset, mask: int) -> list[int]:
@@ -363,23 +381,35 @@ def component_masks(poset: Poset, mask: int) -> Iterator[int]:
     """Connected components of a view under strict theta adjacency.
 
     Yielded lazily, ordered by their lowest member: a view is connected
-    exactly when its first component is the whole view.
+    exactly when its first component is the whole view. Each search stops
+    once its component covers the faces no earlier component took: at the
+    end of a round, and every 16 frontier faces within one. On a dense
+    poset the second round already reaches every face, and ORing in the
+    neighborhood of each face after that is most of the search; a test
+    after every face would cost the small views of a sparse poset more.
     """
-    theta = poset.theta_masks
+    alpha = poset.alpha_masks
+    beta = poset.beta_masks
     rest = mask
     while rest:
         comp = rest & -rest
         frontier = comp
         while frontier:
+            todo = rest & ~comp
             nxt = 0
             f = frontier
+            seen = 0
             while f:
                 low = f & -f
-                nxt |= theta[low.bit_length() - 1]
+                h = low.bit_length() - 1
+                nxt |= alpha[h] | beta[h]
                 f ^= low
-            nxt &= mask & ~comp
+                seen += 1
+                if not seen & 15 and nxt & todo == todo:
+                    break
+            nxt &= todo
             comp |= nxt
-            frontier = nxt
+            frontier = 0 if nxt == todo else nxt
         yield comp
         rest &= ~comp
 
@@ -388,7 +418,11 @@ def component_masks(poset: Poset, mask: int) -> Iterator[int]:
 # public operator algebra
 
 
-_KIND_ATTR = {"alpha": "alpha_masks", "beta": "beta_masks", "theta": "theta_masks"}
+_KIND_MASK = {
+    "alpha": lambda p, h: p.alpha_masks[h],
+    "beta": lambda p, h: p.beta_masks[h],
+    "theta": theta_mask,
+}
 
 
 def local_sets(
@@ -405,7 +439,7 @@ def local_sets(
     """
     view = as_view(obj)
     try:
-        masks = getattr(view.ambient, _KIND_ATTR[kind])
+        mask_at = _KIND_MASK[kind]
     except KeyError:
         raise DomainError(f"unknown operator kind {kind!r}; use alpha, beta or theta") from None
     if isinstance(faces, int):
@@ -414,7 +448,7 @@ def local_sets(
     for h in faces:
         if h not in view:
             raise DomainError(f"face {h} is not a member of the poset/view")
-        m = masks[h] & view.mask
+        m = mask_at(view.ambient, h) & view.mask
         if not strict:
             m |= 1 << h
         out |= m
@@ -468,10 +502,9 @@ def is_separated_union(obj: "Poset | SuborderView", a: Iterable[int], b: Iterabl
         raise DomainError("the two parts overlap")
     if am | bm != view.mask:
         raise DomainError("the two parts do not cover the poset/view")
-    theta = view.ambient.theta_masks
     reach = 0
     for h in iter_bits(am):
-        reach |= theta[h]
+        reach |= theta_mask(view.ambient, h)
     return not reach & bm
 
 

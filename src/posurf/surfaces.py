@@ -33,6 +33,7 @@ is the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError
 from .poset import Poset, SuborderView, as_view, component_masks, iter_bits, view_rank
@@ -63,9 +64,9 @@ class Views:
 
     def __init__(self, poset: Poset):
         self.poset = poset
+        self.full = poset.full_mask
         self.alpha = poset.alpha_masks
         self.beta = poset.beta_masks
-        self.theta = poset.theta_masks
         self._ranks = poset.memo("view_rank")
         self._connected = poset.memo("connected")
         self._surfaces = poset.memo("surface")
@@ -86,12 +87,25 @@ class Views:
             got = self._connected[mask] = next(component_masks(self.poset, mask), 0) == mask
         return got
 
-    def _nbhd(self, h: int, mask: int) -> int:
-        """Surface rank of theta(h) & mask, or NOT_HELD, by its join factors."""
-        a = self.surface(self.alpha[h] & mask)
+    def _factors(self, mask: int) -> Iterator[tuple[int, int, int]]:
+        """(h, alpha(h) & mask, beta(h) & mask) for each face h of the view.
+
+        On the whole poset the factors are the table entries themselves,
+        not equal copies: the memo keys share them, and no mask is ANDed.
+        ``surface`` indexes the tables itself, as its views are nearly all
+        proper subviews, on which a generator costs more per face.
+        """
+        if mask == self.full:
+            return zip(range(len(self.alpha)), self.alpha, self.beta)
+        alpha, beta = self.alpha, self.beta
+        return ((h, alpha[h] & mask, beta[h] & mask) for h in iter_bits(mask))
+
+    def _join(self, below: int, above: int) -> int:
+        """Surface rank of the order join below * above, or NOT_HELD."""
+        a = self.surface(below)
         if a == NOT_HELD:
             return NOT_HELD
-        b = self.surface(self.beta[h] & mask)
+        b = self.surface(above)
         if b == NOT_HELD:
             return NOT_HELD
         return a + b + 1
@@ -109,7 +123,7 @@ class Views:
         Daragon, Couprie & Bertrand, "Discrete surfaces and frontier
         orders", JMIV 2005), X * Y is a (k+l+1)-surface exactly when X is a
         k-surface and Y an l-surface, so each neighborhood is decided by
-        its two factors (``_nbhd``). These are far fewer views than the
+        its two factors (``_join``). These are far fewer views than the
         neighborhoods, and faces share them. The definition also asks k to
         be the view's rank, which holds by the rank law for order joins: a
         longest chain of V through h is a longest chain below h, then h,
@@ -123,17 +137,20 @@ class Views:
             if count == 0:
                 return -1
             top = mask.bit_length() - 1
-            return 0 if count == 2 and not self.theta[top] & mask else NOT_HELD
+            if count == 2 and not (self.alpha[top] & mask or self.beta[top] & mask):
+                return 0
+            return NOT_HELD
         got = self._surfaces.get(mask)
         if got is not None:
             return got
         low = (mask & -mask).bit_length() - 1
         result = NOT_HELD
         if self.connected(mask):
-            k = self._nbhd(low, mask)
+            alpha, beta = self.alpha, self.beta
+            k = self._join(alpha[low] & mask, beta[low] & mask)
             if k >= 0:
                 for h in iter_bits(mask ^ (1 << low)):
-                    if self._nbhd(h, mask) != k:
+                    if self._join(alpha[h] & mask, beta[h] & mask) != k:
                         break
                 else:
                     result = k + 1
@@ -148,8 +165,8 @@ class Views:
             if n < 0:
                 raise DomainError("the border is undefined on the empty order")
             got = 0
-            for h in iter_bits(mask):
-                if self._nbhd(h, mask) != n - 1:
+            for h, below, above in self._factors(mask):
+                if self._join(below, above) != n - 1:
                     got |= 1 << h
             self._borders[mask] = got
         return got
@@ -320,7 +337,7 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
     (C) asks each h in B for an (n-2)-surface theta_B(h) = theta(h) & B.
     The law decided here holds on every poset: a view is a smooth n-PCM
     iff it is an n-PCM satisfying (C). Each theta_B(h) is the join
-    (alpha(h) & B) * (beta(h) & B), so ``_nbhd`` decides it by its factors
+    (alpha(h) & B) * (beta(h) & B), so ``_join`` decides it by its factors
     and no neighborhood is tested whole. Smooth implies (C) (see
     ``check_condition_C``). The converse follows from the join law for
     discrete surfaces (see ``Views.surface``). Write theta_W(x) for the
@@ -359,6 +376,6 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
     n = views.pcm(mask)
     if n >= 1:
         bmask = views.border(mask)
-        if any(views._nbhd(h, bmask) != n - 2 for h in iter_bits(bmask)):
+        if any(views._join(below, above) != n - 2 for _, below, above in views._factors(bmask)):
             n = NOT_HELD
     return _verdict(n)

@@ -12,6 +12,8 @@ from posurf import (
     DomainError,
     ParseError,
     Poset,
+    border,
+    classify_recursive,
     connected_components,
     from_hasse,
     is_coherent,
@@ -298,6 +300,65 @@ def test_components_disjoint_triangles():
         sorted(range(n, 2 * n)),
     ]
     assert [set(c) for c in oracles.brute_components(p.cover_lists)] == [set(c) for c in comps]
+
+
+def layered_covers(levels, width, offset=0):
+    """Cover lists of ``levels`` levels of ``width`` faces, each face covering
+    every face of the level below; ids start at ``offset``."""
+    return [
+        [offset + (lv - 1) * width + j for j in range(width)] if lv else []
+        for lv in range(levels)
+        for _ in range(width)
+    ]
+
+
+def assert_components_match_oracle(covers, members=None):
+    p = Poset(covers)
+    mask = p.full_mask if members is None else sum(1 << h for h in members)
+    want = [set(c) for c in oracles.brute_components(covers, members)]
+    assert [set(iter_bits(m)) for m in component_masks(p, mask)] == want
+    if members is None:
+        assert [set(c) for c in connected_components(p)] == want
+
+
+@pytest.mark.parametrize("levels,width", [(1, 17), (2, 17), (3, 17), (4, 20), (3, 40)])
+def test_components_of_layered_posets(levels, width):
+    # Frontiers of 17 faces or more reach the search's check within a
+    # round, which stops it once the component covers the view.
+    covers = layered_covers(levels, width)
+    assert_components_match_oracle(covers)
+    # two layered blocks side by side: the first covers the first block only
+    n = len(covers)
+    assert_components_match_oracle(covers + layered_covers(levels, width, offset=n))
+    rng = random.Random(levels * 100 + width)
+    for keep in (0.2, 0.5, 0.9):
+        assert_components_match_oracle(covers, [h for h in range(n) if rng.random() < keep])
+
+
+def test_components_of_random_hasse_dags_and_views():
+    rng = random.Random(2026)
+    for _ in range(40):
+        n = rng.randint(40, 80)
+        density = rng.choice((0.01, 0.03, 0.1, 0.3))
+        covers = [[c for c in range(h) if rng.random() < density] for h in range(n)]
+        assert_components_match_oracle(covers)
+        for keep in (0.3, 0.6, 0.9):
+            assert_components_match_oracle(covers, [h for h in range(n) if rng.random() < keep])
+
+
+def test_recognizers_leave_the_theta_table_unbuilt():
+    p = sphere(2).face_poset()
+    view = SuborderView(p, p.full_mask ^ 1)
+    classify_recursive(p)
+    border(view)
+    local_sets(p, 0, "theta")
+    local_sets(view, [1, 2], "theta", strict=False)
+    theta_view(p, 0)
+    connected_components(view)
+    is_separated_union(p, range(len(p)), [])
+    assert "theta_masks" not in p.__dict__
+    assert p.theta_masks == tuple(a | b for a, b in zip(p.alpha_masks, p.beta_masks))
+    assert "theta_masks" in p.__dict__
 
 
 # ---------------------------------------------------------------------------
