@@ -91,14 +91,21 @@ class Views:
         """(h, alpha(h) & mask, beta(h) & mask) for each face h of the view.
 
         On the whole poset the factors are the table entries themselves,
-        not equal copies: the memo keys share them, and no mask is ANDed.
-        ``surface`` indexes the tables itself, as its views are nearly all
-        proper subviews, on which a generator costs more per face.
+        not equal copies, so the memo keys of the whole-poset scans share
+        the tables' ints. The loop is written out, not over ``iter_bits``:
+        ``surface`` runs it on every view, and a nested generator costs
+        more per face.
         """
-        if mask == self.full:
-            return zip(range(len(self.alpha)), self.alpha, self.beta)
         alpha, beta = self.alpha, self.beta
-        return ((h, alpha[h] & mask, beta[h] & mask) for h in iter_bits(mask))
+        if mask == self.full:
+            yield from zip(range(len(alpha)), alpha, beta)
+            return
+        rest = mask
+        while rest:
+            low = rest & -rest
+            h = low.bit_length() - 1
+            yield h, alpha[h] & mask, beta[h] & mask
+            rest ^= low
 
     def _join(self, below: int, above: int) -> int:
         """Surface rank of the order join below * above, or NOT_HELD."""
@@ -143,14 +150,14 @@ class Views:
         got = self._surfaces.get(mask)
         if got is not None:
             return got
-        low = (mask & -mask).bit_length() - 1
         result = NOT_HELD
         if self.connected(mask):
-            alpha, beta = self.alpha, self.beta
-            k = self._join(alpha[low] & mask, beta[low] & mask)
+            factors = self._factors(mask)
+            _, below, above = next(factors)
+            k = self._join(below, above)
             if k >= 0:
-                for h in iter_bits(mask ^ (1 << low)):
-                    if self._join(alpha[h] & mask, beta[h] & mask) != k:
+                for _, below, above in factors:
+                    if self._join(below, above) != k:
                         break
                 else:
                     result = k + 1

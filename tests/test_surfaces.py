@@ -183,6 +183,19 @@ def test_views_a_bit_test_decides_are_never_stored():
     assert peak < 1_000_000
 
 
+def test_whole_poset_factor_keys_are_the_table_entries():
+    # the whole-poset scans key the memo by the closure and opening table
+    # entries themselves, not by equal copies. On a khalimsky block that is
+    # every stored entry. On a surface a subview's factor can equal an entry
+    # and be stored first, as a copy, so only some are shared.
+    for p, category, every in ((khalimsky_block(12, 12), "pcm", True), (sphere(3).face_poset(), "surface", False)):
+        assert classify_recursive(p).category == category
+        keys = {id(m) for m in p.memo("surface")}
+        entries = [m for m in p.alpha_masks + p.beta_masks if m in p.memo("surface")]
+        shared = [m for m in entries if id(m) in keys]
+        assert shared and (not every or shared == entries)
+
+
 def test_a_poset_too_deep_for_the_recursion_is_refused():
     # each rank nests about two frames; a chain of MAX_RANK + 1 faces is
     # taken, one face more is refused before any view is evaluated
