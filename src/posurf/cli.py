@@ -21,10 +21,17 @@ from .simplicial import SimplicialComplex, read_facets, simplicial_join, write_f
 from .surfaces import border, is_k_surface, is_pcm, is_smooth_pcm
 
 # Each golden instance is a ``generate`` spec, which is also its name. The
-# suspension of annulus 4, built by hand, follows them. Non-smooth 3-PCMs:
-# pinched-box 4 (the cone over annulus 4) and that suspension.
+# suspension of annulus 4, built by hand, follows them, then the two
+# smallest non-smooth simplicial PCMs (6 facets on 7 vertices, up to
+# isomorphism): cones over a 6-triangle annulus bounded by two 3-cycles.
+# Non-smooth 3-PCMs: pinched-box 4 (the cone over annulus 4), that
+# suspension and the two smallest.
 _GOLDEN_BENCH = ("simplex 0", "simplex 1", "simplex 3", "sphere 2", "disk 6", "annulus 6",
                  "pinched-sphere", "pinched-box 6", "pinched-box 4")
+_SMALLEST_NON_SMOOTH = (
+    ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 4, 6), (0, 3, 4, 5), (0, 4, 5, 6)),
+    ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 4, 6), (0, 3, 5, 6), (0, 4, 5, 6)),
+)
 
 _CLASSIFIERS = {"fast": classify_fast, "recursive": classify_recursive, "both": classify_both}
 
@@ -156,6 +163,8 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     instances = [(spec, generate(*spec.split())) for spec in _GOLDEN_BENCH]
     instances.append(("suspension of annulus 4", simplicial_join(generate("annulus", 4), sphere(0))))
+    instances += [(f"smallest non-smooth pcm {i}", SimplicialComplex(facets))
+                  for i, facets in enumerate(_SMALLEST_NON_SMOOTH, 1)]
     instances += [(f"sphere {n}", sphere(n)) for n in range(args.max_sphere + 1)]
     for i in range(args.random):
         dim = 1 + i % 3

@@ -2,11 +2,13 @@
 
 A simplex is a frozenset of integer vertex labels; its dimension is its
 cardinality minus one. A complex is the downward closure of any family of
-simplices and stores every nonempty face, so it is closed under inclusion
-and therefore under intersection. The face poset bridges a complex to the
-poset-level recognizers; there, the rank of every face equals its
-dimension. The pseudomanifold tests read one ridge index and one facet
-dual graph per complex, and search each star as an induced subgraph.
+simplices, so it is closed under inclusion and therefore under
+intersection. It keeps its faces as sorted vertex tuples, and builds the
+public frozenset faces only when they are read. The face poset bridges a
+complex to the poset-level recognizers; there, the rank of every face
+equals its dimension. The pseudomanifold tests read one ridge index and
+one facet dual graph per complex, and search each star as an induced
+subgraph.
 """
 
 from __future__ import annotations
@@ -91,9 +93,12 @@ class SimplicialComplex:
             facets.append(vs)
             for r in range(1, len(vs) + 1):
                 closure.update(combinations(vs, r))
-        self._canonical = _canonical(list(closure))
-        self._dim = len(self._canonical[-1]) - 1 if closure else -1
+        # the closure, as sorted vertex tuples; the frozenset faces are
+        # built from it on first read of ``faces``
+        self._closure = closure
+        self._faces: tuple[frozenset, ...] | None = None
         self._facets = _canonical(facets)
+        self._dim = len(facets[-1]) - 1 if facets else -1
         self._vertices = tuple(sorted(set().union(*facets)))
         # the top facets' vertex tuples, numbered as in ``_facets`` on a
         # pure complex: the ridge index and the dual graph index them
@@ -101,6 +106,7 @@ class SimplicialComplex:
         self._poset: Poset | None = None
         self._ridges: dict[tuple[int, ...], list[int]] | None = None
         self._adjacency: list[list[int]] | None = None
+        self._border_ridges: list[tuple[int, ...]] | None = None
         self._pseudomanifold: bool | None = None
         self._normal: bool | None = None
 
@@ -113,8 +119,11 @@ class SimplicialComplex:
 
     @property
     def faces(self) -> tuple[frozenset, ...]:
-        """All faces in canonical order (by dimension, then vertex tuple)."""
-        return self._canonical
+        """All faces in canonical order (by dimension, then vertex tuple).
+        Built on first read and cached on the complex."""
+        if self._faces is None:
+            self._faces = _canonical(list(self._closure))
+        return self._faces
 
     @property
     def facets(self) -> tuple[frozenset, ...]:
@@ -126,23 +135,24 @@ class SimplicialComplex:
         return self._vertices
 
     def __len__(self) -> int:
-        return len(self._canonical)
+        return len(self._closure)
 
     def __iter__(self) -> Iterator[frozenset]:
-        return iter(self._canonical)
+        return iter(self.faces)
 
     def __contains__(self, simplex) -> bool:
         try:
             s = _as_simplex(simplex)
         except DomainError:
             return False
-        return any(s <= f for f in self._facets)
+        return tuple(sorted(s)) in self._closure
 
+    # a complex is fixed by its facets, which are listed in canonical order
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._canonical == other._canonical
+        return isinstance(other, SimplicialComplex) and self._facets == other._facets
 
     def __hash__(self) -> int:
-        return hash(self._canonical)
+        return hash(self._facets)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self)} faces, dim {self._dim})"
@@ -150,7 +160,7 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, from 0 up to dim."""
         counts = [0] * (self._dim + 1)
-        for f in self._canonical:
+        for f in self._closure:
             counts[len(f) - 1] += 1
         return tuple(counts)
 
@@ -164,11 +174,12 @@ class SimplicialComplex:
         any label or cover is built, above ``MAX_POSET_FACES`` faces.
         """
         if self._poset is None:
-            check_poset_faces(len(self._canonical))
-            idx = dict(zip(self._canonical, range(len(self._canonical))))
+            check_poset_faces(len(self._closure))
+            faces = self.faces
+            idx = dict(zip(faces, range(len(faces))))
             covers = []
             labels = []
-            for f in self._canonical:
+            for f in faces:
                 labels.append(",".join(str(v) for v in sorted(f)))
                 covers.append(sorted(idx[f - {v}] for v in f) if len(f) > 1 else [])
             self._poset = Poset(covers, labels)
@@ -202,7 +213,10 @@ class SimplicialComplex:
         return self._adjacency
 
     def _boundary(self) -> list[tuple[int, ...]]:
-        return [r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1]
+        """The ridges under exactly one top facet, as sorted vertex tuples. Cached."""
+        if self._border_ridges is None:
+            self._border_ridges = [r for r, cofacets in self._ridge_index().items() if len(cofacets) == 1]
+        return self._border_ridges
 
     def boundary_ridges(self) -> list[frozenset]:
         """The ridges under exactly one top facet; on a simplicial PCM, the
@@ -217,6 +231,10 @@ class SimplicialComplex:
         """
         if not self.is_pure():
             raise DomainError("codim-1 connectivity requires a pure complex")
+        return self._dual_connected()
+
+    def _dual_connected(self) -> bool:
+        """Whether the facets of a pure complex are connected through ridges."""
         n = len(self._facets)
         return n <= 1 or self._dim > 0 and _connected(self._dual(), range(n))
 
@@ -231,7 +249,7 @@ class SimplicialComplex:
                 self._dim >= 0
                 and self.is_pure()
                 and all(len(c) <= 2 for c in self._ridge_index().values())
-                and self.is_codim1_connected()
+                and self._dual_connected()
             )
         return self._pseudomanifold
 

@@ -685,6 +685,12 @@ def powerset_nonempty(vertices):
     return out
 
 
+def closure_by_powersets(generators) -> set[frozenset]:
+    """The downward closure of a family of simplices: the union of their
+    nonempty subsets."""
+    return set().union(*(powerset_nonempty(g) for g in generators))
+
+
 # ---------------------------------------------------------------------------
 # order isomorphism by backtracking search (small instances only); this one
 # reads Poset objects, since what it checks is the face-poset bridge

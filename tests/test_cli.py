@@ -29,6 +29,19 @@ def test_gen_to_file_then_classify(tmp_path, capsys, monkeypatch):
     assert "surface: yes" in out and "path: both" in out
 
 
+def test_fast_classify_reads_no_frozenset_faces(capsys, monkeypatch):
+    # the report's face counts come from the closure's vertex tuples
+    def unbuilt(self):
+        raise AssertionError("frozenset faces built")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", property(unbuilt))
+    code, out, _ = run_cli(
+        ["classify", "-"], stdin_text=write_facets(annulus(6)), monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 0
+    assert "instance: 48 faces, by rank {'0': 12, '1': 24, '2': 12}" in out and "category: pcm" in out
+
+
 def test_gen_classify_pipe_equivalent(capsys, monkeypatch):
     code, facets_text, _ = run_cli(["gen", "sphere", "2"], capsys=capsys)
     assert code == 0

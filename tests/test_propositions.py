@@ -321,6 +321,32 @@ def test_simplicial_pcms_of_rank_1_and_2_are_smooth(complexes, big_complexes):
     assert ranks.count((2, True)) >= 20
 
 
+def test_two_smallest_non_smooth_simplicial_pcms():
+    # In dimension 3 the smallest non-smooth simplicial PCMs have 6 facets on
+    # 7 vertices, in two isomorphism classes: cones with apex 0 over a
+    # 6-triangle annulus bounded by two 3-cycles. Both paths must call each a
+    # PCM that is not smooth. Their vertex degrees differ, so the two are not
+    # isomorphic.
+    from collections import Counter
+
+    from posurf import check_condition_C, classify_both
+
+    smallest = [
+        [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 4, 6), (0, 3, 4, 5), (0, 4, 5, 6)],
+        [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 4, 6), (0, 3, 5, 6), (0, 4, 5, 6)],
+    ]
+    degrees = []
+    for facets in smallest:
+        k = SimplicialComplex(facets)
+        assert len(k) == 49 and k.f_vector() == (7, 18, 18, 6)
+        cls = classify_both(k)
+        assert cls.category == "pcm" and cls.rank == 3
+        assert cls.is_smooth_pcm is False
+        assert not check_condition_C(k)
+        degrees.append(sorted(Counter(v for f in k.faces if len(f) == 2 for v in f).values()))
+    assert degrees == [[4, 4, 5, 5, 6, 6, 6], [5, 5, 5, 5, 5, 5, 6]]
+
+
 def test_openings_in_simplicial_pcms_split_by_border(complexes):
     # opening(h) is a PCM exactly on border faces, a surface on interior
     for name, k in complexes:

@@ -13,6 +13,7 @@ from posurf import (
     PosurfError,
     SimplicialComplex,
     annulus,
+    classify_fast,
     disk,
     from_hasse,
     icosahedron,
@@ -91,6 +92,67 @@ def test_constructor_closes_generators(monkeypatch):
     assert hash(again) == hash(k)
     with pytest.raises(DomainError, match="limit of 10"):
         SimplicialComplex([(1, 2), (2, 3, 4), (5,)])
+
+
+@st.composite
+def generator_lists(draw):
+    """A list of simplices on at most 7 vertices, mixed sizes (so the
+    complex is rarely pure), with some of their proper faces and repeats."""
+    simplex = st.frozensets(st.integers(0, 6), min_size=1, max_size=4)
+    gens = draw(st.lists(simplex, max_size=8))
+    under = [frozenset(draw(st.sets(st.sampled_from(sorted(g)), min_size=1))) for g in gens]
+    return gens + under + gens[:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_lists(), st.randoms(use_true_random=False))
+def test_constructor_matches_the_closure_oracle(gens, rnd):
+    k = SimplicialComplex(gens)
+    closure = oracles.closure_by_powersets(gens)
+    facets = {f for f in closure if not any(f < g for g in closure)}
+    key = lambda s: (len(s), tuple(sorted(s)))
+    assert k.faces == tuple(sorted(closure, key=key)) and tuple(k) == k.faces
+    assert k.facets == tuple(sorted(facets, key=key))
+    assert len(k) == len(closure) and k.dim == max(map(len, closure), default=0) - 1
+    assert k.f_vector() == tuple(sum(len(f) == d + 1 for f in closure) for d in range(k.dim + 1))
+    for s in oracles.powerset_nonempty(range(7)):
+        assert (s in k) == (s in closure)
+    # any list with the same closure gives an equal complex, with an equal hash
+    same = [*facets, *rnd.sample(sorted(closure, key=key), len(closure) // 2)]
+    rnd.shuffle(same)
+    again = SimplicialComplex(same)
+    assert again == k and hash(again) == hash(k) and again.faces == k.faces
+    other = SimplicialComplex([*gens, (7,)])
+    assert other != k and len(other) == len(k) + 1
+
+
+def test_fast_path_builds_no_frozenset_faces():
+    # parse, the verdict, the face count and the f-vector read the closure's
+    # vertex tuples; the canonical frozenset faces are built on first read
+    k = read_facets(write_facets(pinched_box(6)))
+    cls = classify_fast(k)
+    assert cls.is_pcm and not cls.is_smooth_pcm
+    assert k.boundary_ridges() and k.is_codim1_connected()
+    assert len(k) == 97 and k.f_vector() == (13, 36, 36, 12)
+    assert {0, 1, 12} in k and {0, 1, 2, 3} not in k
+    assert k == pinched_box(6) and hash(k) == hash(pinched_box(6))
+    assert k._faces is None
+    assert k.faces == tuple(sorted(oracles.closure_by_powersets(k.facets), key=lambda s: (len(s), tuple(sorted(s)))))
+    assert k._faces is k.faces
+
+
+def test_fast_path_scans_each_complex_once(monkeypatch):
+    # purity is checked once per pseudomanifold test, and the boundary
+    # ridges are collected once for the border and condition (C)
+    pure_calls = []
+    is_pure = SimplicialComplex.is_pure
+    monkeypatch.setattr(SimplicialComplex, "is_pure", lambda k: pure_calls.append(k) or is_pure(k))
+    k = pinched_box(6)
+    classify_fast(k)
+    assert len(pure_calls) == 1
+    assert k._boundary() is k._boundary()
+    with pytest.raises(DomainError, match="pure complex"):
+        SimplicialComplex([(0, 1, 2), (2, 3)]).is_codim1_connected()
 
 
 def test_vertices_must_be_integers():
@@ -459,8 +521,10 @@ def test_face_poset_is_refused_before_it_is_built(monkeypatch):
 
     monkeypatch.setattr(poset_module, "MAX_POSET_FACES", 13)
     monkeypatch.setattr(simplicial, "Poset", refuse)
+    k = sphere(2)
     with pytest.raises(DomainError, match="a poset of 14 faces is above the limit of 13"):
-        sphere(2).face_poset()
+        k.face_poset()
+    assert k._faces is None
 
 
 def test_closure_budget_admits_annulus_8000():
