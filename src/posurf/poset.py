@@ -12,9 +12,9 @@ for just the faces it reads (``theta_mask``); the table ``theta_masks``
 is built only when something reads it.
 
 A suborder is a :class:`SuborderView`: the ambient poset plus a member
-bitmask. All recognizers in this package work on such views, so a face
-never gets renumbered while recursing through neighborhoods, and the
-member bitmask doubles as the memoization key.
+bitmask. The recognizers recurse over the intervals of a whole poset,
+keyed in their memos by member bitmask, and build any other view as its
+own poset first (``SuborderView.to_poset``).
 
 Posets are immutable after construction and safe to share across threads
 for reading; lazily filled caches only move from "absent" to the one
@@ -101,7 +101,10 @@ class Poset:
     another listed face of the same list is dropped. Construction rejects
     cyclic input, so the closure is always a strict partial order. It
     also rejects more than ``MAX_POSET_FACES`` faces, before it reads any
-    cover list.
+    cover list. Besides the two bitmask tables it keeps, per face, the
+    faces that cover it (``up_cover_lists``), its rank (``face_ranks``, the
+    longest chain below it) and its co-rank (``co_ranks``, the longest
+    chain above it).
     """
 
     def __init__(self, covers: Sequence[Iterable[int]], labels: Sequence[str | None] | None = None):
@@ -158,6 +161,9 @@ class Poset:
                 below = 0
                 for c in cover_lists[h]:
                     below |= alpha[c]
+                for c in cover_lists[h]:
+                    if below >> c & 1:
+                        up[c].remove(h)
                 cover_lists[h] = tuple(c for c in cover_lists[h] if not below >> c & 1)
             alpha[h] = a
             ranks[h] = r
@@ -167,19 +173,29 @@ class Poset:
                     order.append(g)
         if len(order) != n:
             raise DomainError("covering relation is cyclic")
+        # the reverse pass gives openings and co-ranks, the longest chain
+        # above each face
         beta = [0] * n
+        co_ranks = [0] * n
         for h in reversed(order):
             b = 0
+            r = 0
             for g in up[h]:
                 b |= beta[g] | (1 << g)
+                rg = co_ranks[g]
+                if rg >= r:
+                    r = rg + 1
             beta[h] = b
+            co_ranks[h] = r
 
         self._covers = tuple(cover_lists)
+        self.up_cover_lists = tuple(map(tuple, up))
         self.alpha_masks = tuple(alpha)
         self.beta_masks = tuple(beta)
         self.face_ranks = tuple(ranks)
+        self.co_ranks = tuple(co_ranks)
         self._rank = max(ranks) if n else -1
-        self._memo: dict[str, dict] = {}
+        self._memo: dict[str, object] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -220,9 +236,13 @@ class Poset:
         """
         return tuple(a | b for a, b in zip(self.alpha_masks, self.beta_masks))
 
-    def memo(self, name: str) -> dict:
-        """Named cache scoped to this poset (compute-once contract)."""
-        return self._memo.setdefault(name, {})
+    def memo(self, name: str, make=dict):
+        """Named cache scoped to this poset (compute-once contract), made
+        by ``make`` on first use."""
+        got = self._memo.get(name)
+        if got is None:
+            got = self._memo.setdefault(name, make())
+        return got
 
 
 @dataclass(frozen=True)

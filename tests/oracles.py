@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterator
 
 from posurf.errors import DomainError
-from posurf.poset import Poset, SuborderView, as_view, component_masks, iter_bits
+from posurf.poset import Poset, SuborderView, as_view, component_masks, iter_bits, view_rank
 from posurf.simplicial import SimplicialComplex
-from posurf.surfaces import NOT_HELD, Verdict, Views
+from posurf.surfaces import NOT_HELD, Verdict
 
 
 def face_id(k: SimplicialComplex, simplex) -> int:
@@ -89,8 +90,24 @@ def coherent_by_recursion(covers, members=None):
     return True
 
 
-def brute_components(covers, members=None):
+def brute_co_ranks(covers):
+    """h -> the number of faces of a longest chain strictly above h."""
     below = strict_below(covers)
+    above = [{x for x in range(len(covers)) if h in below[x]} for h in range(len(covers))]
+    memo = {}
+
+    def co(h):
+        if h not in memo:
+            memo[h] = 0 if not above[h] else 1 + max(co(x) for x in above[h])
+        return memo[h]
+
+    return [co(h) for h in range(len(covers))]
+
+
+def brute_components(covers, members=None, below=None):
+    """Components under strict comparability; ``below`` is ``strict_below(covers)``,
+    computed here when not given."""
+    below = strict_below(covers) if below is None else below
     members = set(range(len(covers))) if members is None else set(members)
     seen = set()
     comps = []
@@ -320,18 +337,158 @@ def brute_condition_C(covers, members=None) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# the recursion over member bitmasks
+
+
+class MaskViews:
+    """Rank, connectivity, surface, border and PCM tests on any member
+    bitmask of one poset: the reference for ``posurf.surfaces.Views``.
+
+    Each neighborhood is split into its two join factors, masks cut from
+    the closure and opening tables, and every answer is memoized under its
+    mask. The ``view_rank``, ``surface``, ``border`` and ``pcm`` memos are
+    the library's, which stores the same answer under the same key, so a
+    recognizer run on warm memos reads what the other wrote; ``connected``
+    is this class's own. Nothing is decided by the laws of
+    ``posurf.surfaces`` over face ranks and cover lists.
+    """
+
+    def __init__(self, poset: Poset):
+        self.poset = poset
+        self.full = poset.full_mask
+        self.alpha = poset.alpha_masks
+        self.beta = poset.beta_masks
+        self._ranks = poset.memo("view_rank")
+        self._connected = poset.memo("connected")
+        self._surfaces = poset.memo("surface")
+        self._borders = poset.memo("border")
+        self._pcms = poset.memo("pcm")
+
+    def rank(self, mask: int) -> int:
+        """Rank of the view; -1 when empty."""
+        got = self._ranks.get(mask)
+        if got is None:
+            got = self._ranks[mask] = view_rank(self.poset, mask)
+        return got
+
+    def connected(self, mask: int) -> bool:
+        """Path-connectedness of the view under strict theta adjacency."""
+        got = self._connected.get(mask)
+        if got is None:
+            got = self._connected[mask] = next(component_masks(self.poset, mask), 0) == mask
+        return got
+
+    def _factors(self, mask: int) -> Iterator[tuple[int, int, int]]:
+        """(h, alpha(h) & mask, beta(h) & mask) for each face h of the view."""
+        alpha, beta = self.alpha, self.beta
+        if mask == self.full:
+            yield from zip(range(len(alpha)), alpha, beta)
+            return
+        rest = mask
+        while rest:
+            low = rest & -rest
+            h = low.bit_length() - 1
+            yield h, alpha[h] & mask, beta[h] & mask
+            rest ^= low
+
+    def _join(self, below: int, above: int) -> int:
+        """Surface rank of the order join below * above, or NOT_HELD."""
+        a = self.surface(below)
+        if a == NOT_HELD:
+            return NOT_HELD
+        b = self.surface(above)
+        if b == NOT_HELD:
+            return NOT_HELD
+        return a + b + 1
+
+    def surface(self, mask: int) -> int:
+        """Surface rank of the view, or NOT_HELD: each strict neighborhood
+        decided by its two join factors (``_join``), as in
+        ``posurf.surfaces.Views.surface``, which proves it."""
+        count = mask.bit_count()
+        if count <= 2:
+            if count == 0:
+                return -1
+            top = mask.bit_length() - 1
+            if count == 2 and not (self.alpha[top] & mask or self.beta[top] & mask):
+                return 0
+            return NOT_HELD
+        got = self._surfaces.get(mask)
+        if got is not None:
+            return got
+        result = NOT_HELD
+        if self.connected(mask):
+            factors = self._factors(mask)
+            _, below, above = next(factors)
+            k = self._join(below, above)
+            if k >= 0:
+                for _, below, above in factors:
+                    if self._join(below, above) != k:
+                        break
+                else:
+                    result = k + 1
+        self._surfaces[mask] = result
+        return result
+
+    def border(self, mask: int) -> int:
+        """Bitmask of the faces whose strict neighborhood is not an (n-1)-surface."""
+        got = self._borders.get(mask)
+        if got is None:
+            n = self.rank(mask)
+            if n < 0:
+                raise DomainError("the border is undefined on the empty order")
+            got = 0
+            for h, below, above in self._factors(mask):
+                if self._join(below, above) != n - 1:
+                    got |= 1 << h
+            self._borders[mask] = got
+        return got
+
+    def pcm(self, mask: int) -> int:
+        """PCM rank of the view, or NOT_HELD: the walk over the border,
+        each border neighborhood decided by its two join factors, by the
+        join law for PCMs that ``posurf.surfaces.Views.pcm`` proves."""
+        count = mask.bit_count()
+        if count <= 1:
+            return count - 1
+        got = self._pcms.get(mask)
+        if got is not None:
+            return got
+        result = NOT_HELD
+        # a connected view of two or more faces has rank n >= 1
+        if self.connected(mask):
+            n = self.rank(mask)
+            bmask = self.border(mask)
+            result = n if bmask else NOT_HELD
+            for h in iter_bits(bmask):
+                below = self.alpha[h] & mask
+                above = self.beta[h] & mask
+                a = self.surface(below)
+                b = self.surface(above)
+                if a == NOT_HELD:
+                    a = self.pcm(below)
+                if b == NOT_HELD and a != NOT_HELD:
+                    b = self.pcm(above)
+                if a == NOT_HELD or b == NOT_HELD or a + b != n - 2:
+                    result = NOT_HELD
+                    break
+        self._pcms[mask] = result
+        return result
+
+
 def pcm_by_walk(obj: "Poset | SuborderView") -> Verdict:
     """PCM verdict by the definition's own walk over the border.
 
     For rank n >= 1 the view must be connected with a nonempty border, and
     every border face's strict neighborhood, tested whole, an (n-1)-PCM.
-    Rank, connectivity and border come from ``Views``; the walk and its
+    Rank, connectivity and border come from ``MaskViews``; the walk and its
     memo are its own. It is the reference for ``Views.pcm``, which decides
     each border neighborhood by its two join factors. The neighborhoods it
     visits are not intervals, so it is exponential on chains and simplices.
     """
     view = as_view(obj)
-    views = Views(view.ambient)
+    views = MaskViews(view.ambient)
     theta = view.ambient.theta_masks
     memo: dict[int, int] = {}
 
@@ -361,12 +518,12 @@ def smooth_pcm_by_walk(obj: "Poset | SuborderView") -> Verdict:
     are never adjacent in it, so for n >= 2 each component must be an
     (n-1)-surface; for n = 1 the border must be singletons in even number
     (any pairing of them is a union of 0-surfaces). Rank, connectivity,
-    border and surfaces come from ``Views``; the walk and its memo are its
+    border and surfaces come from ``MaskViews``; the walk and its memo are its
     own. It is the reference for ``is_smooth_pcm`` (PCM and condition (C))
     on borders above the cap of ``brute_is_smooth_pcm``.
     """
     view = as_view(obj)
-    views = Views(view.ambient)
+    views = MaskViews(view.ambient)
     theta = view.ambient.theta_masks
     memo: dict[int, int] = {}
 
@@ -409,7 +566,7 @@ def condition_C_by_neighborhoods(k) -> bool:
     """
     n = k.dim
     poset = k.face_poset()
-    views = Views(poset)
+    views = MaskViews(poset)
     if n < 1 or views.pcm(poset.full_mask) != n:
         raise DomainError("condition (C) requires an n-PCM input of rank >= 1")
     bmask = views.border(poset.full_mask)

@@ -27,7 +27,7 @@ from posurf import (
     sphere,
 )
 from posurf.poset import SuborderView, component_masks, iter_bits
-from posurf.surfaces import Views, border_mask_of
+from posurf.surfaces import border_mask_of
 
 from . import oracles
 from .conftest import (
@@ -201,7 +201,7 @@ def test_criterion_4_differential_tests():
         assert warm == fresh, p
         checks += len(warm)
         # every strict neighborhood, one by one
-        warm, fresh = warm_and_fresh(p, [lambda q: list(map(Views(q).surface, q.theta_masks))])
+        warm, fresh = warm_and_fresh(p, [lambda q: list(map(oracles.MaskViews(q).surface, q.theta_masks))])
         assert warm == fresh, p
 
     # dual-graph connectivity vs the path-based definition, all pure inputs

@@ -33,12 +33,15 @@ def test_recursive_sphere2():
 def test_recursive_sphere7_decides_neighborhoods_by_their_factors():
     # a count, not a timing: the surface recursion memoizes the join factors
     # of the strict neighborhoods, which on sphere 7 (510 faces) are under
-    # 20,000 views; the whole neighborhoods are about 1.7 million
+    # 20,000 views; the whole neighborhoods are about 1.7 million. Closures
+    # and openings are stored in the per-face lists, the rest by mask.
     k = sphere(7)
     recursive, fast = classify_recursive(k), classify_fast(k)
     assert recursive.category == "surface"
     assert all(getattr(recursive, name) == getattr(fast, name) for name in VERDICT_FIELDS)
-    assert len(k.face_poset().memo("surface")) < 20_000
+    p = k.face_poset()
+    listed = [r for name in ("closure_surface", "opening_surface") for r in p.memo(name) if r is not None]
+    assert len(p.memo("surface")) + len(listed) < 20_000
 
 
 def test_recursive_disk():

@@ -347,6 +347,45 @@ def test_two_smallest_non_smooth_simplicial_pcms():
     assert degrees == [[4, 4, 5, 5, 6, 6, 6], [5, 5, 5, 5, 5, 5, 6]]
 
 
+def test_census_of_pure_3_complexes_on_7_vertices():
+    # Every pure 3-complex grown from the tetrahedron (0,1,2,3) on 7 vertices,
+    # one facet at a time across a boundary ridge (a ridge under one facet),
+    # never putting a ridge under three facets. Growth reaches every
+    # 3-pseudomanifold on these vertices, so every 3-PCM. The first
+    # non-smooth PCMs appear at 6 facets, and both paths must agree on them.
+    from collections import Counter
+    from itertools import combinations
+
+    from posurf import classify_both, classify_fast
+
+    level = {frozenset({(0, 1, 2, 3)})}
+    counts = [len(level)]
+    for _ in range(5):
+        grown = set()
+        for k in level:
+            ridges = Counter(r for f in k for r in combinations(f, 3))
+            for r in [r for r, c in ridges.items() if c == 1]:
+                for v in range(7):
+                    f = tuple(sorted(r + (v,)))
+                    if v not in r and f not in k and all(ridges[s] <= 1 for s in combinations(f, 3)):
+                        grown.add(k | {f})
+        level = grown
+        counts.append(len(level))
+    assert counts == [1, 12, 126, 1152, 9141, 59_328]
+    verdicts = Counter()
+    non_smooth = []
+    for k in level:
+        c = classify_fast(SimplicialComplex(k))
+        verdict = "smooth" if c.is_smooth_pcm else c.category
+        verdicts[verdict] += 1
+        if verdict == "pcm":
+            non_smooth.append(k)
+    assert verdicts == {"neither": 50_184, "smooth": 8640, "pcm": 504}
+    for k in non_smooth:
+        c = classify_both(SimplicialComplex(k))
+        assert (c.category, c.rank, c.is_smooth_pcm) == ("pcm", 3, False), sorted(k)
+
+
 def test_openings_in_simplicial_pcms_split_by_border(complexes):
     # opening(h) is a PCM exactly on border faces, a surface on interior
     for name, k in complexes:

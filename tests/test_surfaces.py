@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -23,8 +24,8 @@ from posurf import (
     sphere,
     theta_view,
 )
-from posurf.surfaces import border_mask_of
-from posurf.surfaces import MAX_RANK
+from posurf.poset import iter_bits, view_rank
+from posurf.surfaces import MAX_RANK, Views, border_mask_of
 
 from .conftest import antichain_poset, chain_poset, warm_and_fresh
 from . import oracles
@@ -95,18 +96,18 @@ def test_random_posets_match_brute_oracles():
     import random
 
     from posurf.poset import SuborderView, iter_bits
-    from posurf.surfaces import NOT_HELD, Views
+    from posurf.surfaces import NOT_HELD
 
     def check_rank_law(p, mask):
         # rank V = 1 + max rank(theta(h) & V), and a surface's rank is its view's
-        views = Views(p)
+        views = oracles.MaskViews(p)
         if mask:
             sub = max(views.rank(p.theta_masks[h] & mask) for h in iter_bits(mask))
             assert views.rank(mask) == 1 + sub, (p.cover_lists, mask)
         assert views.surface(mask) in (NOT_HELD, views.rank(mask)), (p.cover_lists, mask)
 
     def check_smooth_and_border(p, mask):
-        # the smooth test reads (C) off the border that Views.border stores,
+        # the smooth test reads (C) off the border that the PCM walk stores,
         # and the border after a PCM walk must match a fresh one; both
         # against definitions that share neither
         covers = p.cover_lists
@@ -119,9 +120,9 @@ def test_random_posets_match_brute_oracles():
             got = is_smooth_pcm(SuborderView(p, mask))
             assert (got.holds, got.rank) == expect, (covers, mask)
         if mask:
-            views = Views(p)
+            views = oracles.MaskViews(p)
             views.pcm(mask)
-            fresh = Views(Poset(covers)).border(mask)
+            fresh = oracles.MaskViews(Poset(covers)).border(mask)
             assert views.border(mask) == fresh, (covers, mask)
             assert set(iter_bits(fresh)) == oracles.brute_border(covers, members), (covers, mask)
 
@@ -159,11 +160,19 @@ def test_warm_and_fresh_memos_agree_on_surfaces(posets, complexes):
 
 
 def test_every_recognizer_fills_its_memos():
+    # the border scan fills the per-face lists of closures and openings;
+    # the whole poset goes, under its mask, into the others. The
+    # rank memo holds the inner intervals that no law ranks: a surface's
+    # walk stops at its empty border and has none, a chain's PCM walk some.
     p = sphere(2).face_poset()
     for recognizer in (is_k_surface, border, is_pcm, is_smooth_pcm):
         recognizer(p)
     assert is_k_surface(p).rank == 2
-    assert all(p.memo(name) for name in ("view_rank", "connected", "surface", "border", "pcm"))
+    for name in ("closure_surface", "opening_surface"):
+        assert None not in p.memo(name), name
+    assert all(p.memo(name) for name in ("surface", "border", "pcm"))
+    chain = chain_poset(6)
+    assert is_pcm(chain).rank == 5 and chain.memo("view_rank")
 
 
 def test_views_a_bit_test_decides_are_never_stored():
@@ -183,21 +192,83 @@ def test_views_a_bit_test_decides_are_never_stored():
     assert peak < 1_000_000
 
 
-def test_whole_poset_factor_keys_are_the_table_entries():
-    # the whole-poset scans key the memo by the closure and opening table
-    # entries themselves, not by equal copies. On a khalimsky block that is
-    # every stored entry. On a surface a subview's factor can equal an entry
-    # and be stored first, as a copy, so only some are shared.
-    for p, category, every in ((khalimsky_block(12, 12), "pcm", True), (sphere(3).face_poset(), "surface", False)):
+def test_closure_and_opening_ranks_live_in_the_per_face_lists():
+    # the surface rank of each face's closure and opening is stored in a
+    # per-face list, not under the mask, and agrees with the recursion over
+    # masks on a fresh poset. The lists start with the faces of rank
+    # (co-rank) 0 or 1, whose closure (opening) a law decides; the border
+    # scan fills in the rest.
+    for p, category in ((khalimsky_block(12, 12), "pcm"), (sphere(3).face_poset(), "surface")):
+        fresh = Views(Poset(p.cover_lists))
+        assert [h for h, r in enumerate(fresh.closures) if r is None] == [
+            h for h, r in enumerate(p.face_ranks) if r >= 2
+        ]
+        assert [h for h, r in enumerate(fresh.openings) if r is None] == [
+            h for h, r in enumerate(p.co_ranks) if r >= 2
+        ]
         assert classify_recursive(p).category == category
-        keys = {id(m) for m in p.memo("surface")}
-        entries = [m for m in p.alpha_masks + p.beta_masks if m in p.memo("surface")]
-        shared = [m for m in entries if id(m) in keys]
-        assert shared and (not every or shared == entries)
+        closures, openings = p.memo("closure_surface"), p.memo("opening_surface")
+        reference = oracles.MaskViews(Poset(p.cover_lists))
+        for h in range(len(p)):
+            assert closures[h] == reference.surface(p.alpha_masks[h]), h
+            assert openings[h] == reference.surface(p.beta_masks[h]), h
+        assert not set(p.memo("surface")) & set(p.alpha_masks + p.beta_masks)
+
+
+def _comparable_pairs(p: Poset):
+    """Every interval (lo, hi) of comparable lo < hi, with the sentinels
+    -1 (bottom) and n (top)."""
+    n = len(p)
+    yield -1, n
+    for h in range(n):
+        yield -1, h
+        yield h, n
+        for lo in iter_bits(p.alpha_masks[h]):
+            yield lo, h
+
+
+def test_interval_laws_against_brute_oracles():
+    # each law that decides an interval from face ranks, co-ranks and cover
+    # lists, on every comparable pair: d == 1 gives an empty interval, d == 2
+    # the antichain of faces that cover lo and are covered by hi, the overlaps
+    # of the pieces give connectivity, the covers of hi give the rank
+    import random
+
+    rng = random.Random(25)
+    posets = [khalimsky_block(7, 5), solid_simplex(6).face_poset()]
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        posets.append(Poset([sorted(rng.sample(range(h), rng.randint(0, min(3, h)))) for h in range(n)]))
+    seen = Counter()
+    for p in posets:
+        covers = p.cover_lists
+        below = oracles.strict_below(covers)
+        assert list(p.co_ranks) == oracles.brute_co_ranks(covers), covers
+        views = Views(p)
+        faces = set(range(len(p)))
+        for lo, hi in _comparable_pairs(p):
+            mask = views.members(lo, hi)
+            members = set(iter_bits(mask))
+            under = below[hi] if hi < len(p) else faces
+            assert members == {x for x in under if lo < 0 or lo in below[x]}, (covers, lo, hi)
+            d = views.bound(lo, hi)
+            seen[min(d, 3)] += 1
+            if d <= 1:
+                assert not members, (covers, lo, hi)
+            elif d == 2:
+                both = set(views.up[lo]) & set(views.down[hi])
+                assert members == both, (covers, lo, hi)
+                assert not any(below[x] & members for x in members), (covers, lo, hi)
+                assert views.antichain(lo, hi) == len(members), (covers, lo, hi)
+            if members:
+                components = oracles.brute_components(covers, members, below)
+                assert views.connected(lo, hi) == (len(components) == 1), (covers, lo, hi)
+            assert views.rank(lo, hi) == view_rank(p, mask), (covers, lo, hi)
+    assert min(seen.values()) > 100, seen
 
 
 def test_a_poset_too_deep_for_the_recursion_is_refused():
-    # each rank nests about two frames; a chain of MAX_RANK + 1 faces is
+    # each rank nests about one frame; a chain of MAX_RANK + 1 faces is
     # taken, one face more is refused before any view is evaluated
     deepest = chain_poset(MAX_RANK + 1)
     assert not is_k_surface(deepest).holds
@@ -223,7 +294,8 @@ def test_a_poset_too_deep_for_the_recursion_is_refused():
 
 def test_pcm_walk_nests_about_two_frames_per_rank():
     # the factor test sits in the one loop of Views.pcm; a chain of rank r
-    # then nests 2r frames and some, so MAX_RANK fits Python's default limit
+    # then nests about r frames and some, within the 2r set here, so
+    # MAX_RANK fits Python's default limit
     p = chain_poset(64)
     depth, frame = 0, sys._getframe()
     while frame:
