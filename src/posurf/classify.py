@@ -1,6 +1,7 @@
 """Dual-path classification.
 
-``classify_recursive`` applies the recursive recognizers literally.
+``classify_recursive`` applies the poset recognizers, which decide the
+recursive definitions by one pass of the interval law (``posurf.surfaces``).
 ``classify_fast`` classifies a simplicial complex through the normal
 pseudomanifold test instead: for rank >= 1, a pure complex is a discrete
 surface exactly when it is a normal pseudomanifold with empty border, and
@@ -96,7 +97,7 @@ def _timed(timings: dict, name: str, fn):
 
 
 def classify_recursive(obj) -> Classification:
-    """Classify by the recursive definitions.
+    """Classify by the recursive definitions, through the interval law.
 
     Accepts a SimplicialComplex (pseudomanifold checks included) or a
     Poset/SuborderView (poset-level recognizers only).

@@ -12,9 +12,8 @@ for just the faces it reads (``theta_mask``); the table ``theta_masks``
 is built only when something reads it.
 
 A suborder is a :class:`SuborderView`: the ambient poset plus a member
-bitmask. The recognizers recurse over the intervals of a whole poset,
-keyed in their memos by member bitmask, and build any other view as its
-own poset first (``SuborderView.to_poset``).
+bitmask. The recognizers run one pass over a whole poset, and build any
+other view as its own poset first (``SuborderView.to_poset``).
 
 Posets are immutable after construction and safe to share across threads
 for reading; lazily filled caches only move from "absent" to the one
@@ -279,26 +278,54 @@ class SuborderView:
 
         New ids follow ascending ambient ids (``members[i]`` becomes ``i``);
         labels are carried over. Covering is recomputed for the induced
-        order, which in general differs from the ambient covering. A face's
-        closure is scanned down the view's ranks: a face met there that no
-        cover found so far lies above is a cover.
+        order, which in general differs from the ambient covering. The
+        members are visited by ambient rank. A walk down the ambient covers
+        of a member through non-members only meets each member it covers in
+        the view, as no member lies between them; the members met below a
+        non-member are found once, as a mask over the view's ids. A member met
+        past a non-member may lie below another one met, and is dropped.
         """
         members = self.members
         pos = {h: i for i, h in enumerate(members)}
-        alpha = self.ambient.alpha_masks
-        levels = view_levels(self.ambient, self.mask)
+        down = self.ambient.cover_lists
+        met: dict[int, int] = {}
+        below = [0] * len(members)
         covers: list[list[int]] = [[] for _ in members]
-        for r, level in enumerate(levels):
-            for h in iter_bits(level):
-                rest = alpha[h] & self.mask
-                below = r
-                while rest:
-                    below -= 1
-                    on = rest & levels[below]
-                    rest ^= on
-                    for x in iter_bits(on):
-                        covers[pos[h]].append(pos[x])
-                        rest &= ~alpha[x]
+        for h in sorted(members, key=self.ambient.face_ranks.__getitem__):
+            mask = 0
+            for c in down[h]:
+                i = pos.get(c)
+                if i is not None:
+                    mask |= 1 << i
+                    continue
+                todo = [c]
+                while todo:
+                    x = todo[-1]
+                    if x in met:
+                        todo.pop()
+                        continue
+                    new = [y for y in down[x] if y not in pos and y not in met]
+                    if new:
+                        todo += new
+                        continue
+                    m = 0
+                    for y in down[x]:
+                        i = pos.get(y)
+                        m |= met[y] if i is None else 1 << i
+                    met[x] = m
+                    todo.pop()
+                mask |= met[c]
+            # the members below those met, from the highest id down, skipping
+            # each one already below
+            under = 0
+            rest = mask
+            while rest:
+                i = rest.bit_length() - 1
+                under |= below[i]
+                rest &= ~(under | 1 << i)
+            mask &= ~under
+            below[pos[h]] = mask | under
+            covers[pos[h]] = list(iter_bits(mask))
         labels = [self.ambient._labels[h] for h in members]
         return Poset(covers, labels)
 

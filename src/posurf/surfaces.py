@@ -1,74 +1,122 @@
-"""The recognizers' one recursion over the intervals of a poset.
+"""The recognizers: one pass of the interval law over a poset.
 
-``Views(poset)`` decides, for each open interval (lo, hi) of a whole
-poset, its rank, whether it is connected, whether it is a discrete
-surface, its border and whether it is a PCM. lo = -1 is a bottom sentinel
-below every face and hi = n a top sentinel above every face, so (-1, h)
-is the strict closure of face h, (h, n) its strict opening and (-1, n)
-the whole poset. The members of (lo, hi) are ``beta[lo] & alpha[hi]``.
+Extend a poset P of rank R by a bottom sentinel -1 below every face and a
+top sentinel n above every face, with face ranks fr[-1] = -1 and
+fr[n] = R + 1 (fr[h] is the longest chain below h, and the co-rank cr[h]
+the longest chain above it). For y < z in the extension, (y, z) is the
+open interval between them: (-1, z) is the strict closure of z, (y, n)
+the strict opening of y and (-1, n) the whole poset. Let d = fr[z] - fr[y].
+P is graded when each cover of a face z has rank fr[z] - 1 and each
+maximal face rank R; every maximal chain then has R + 1 faces, so (y, z)
+is graded of rank d - 2, and an interval with d = 2 is the antichain of
+the faces that cover y and are covered by z. Call it lone if it has one
+member.
 
-The strict neighborhood of a face g of (lo, hi) is the order join of its
-two factors, (lo, g) and (g, hi), and the join laws for surfaces (see
-``Views.surface``) and for PCMs (see ``Views.pcm``, which proves it)
-decide it from them. So the recursion visits only intervals, and names
-each by its endpoints: at most (comparable pairs) + 2n + 1 views over n
-faces. The PCM test is one walk over the border, which it finds as it
-goes. A smooth PCM is a PCM whose border satisfies condition (C), on every
-poset (see ``is_smooth_pcm``, which proves it), and (C) runs the same
-recursion on the border, built as its own poset. A view that is not a
-whole poset is first built as one (``to_poset``, cached per view mask).
-Such a poset reads the surface rank of an interval off its ambient poset
-when the ambient interval between the same faces lies inside the view, as
-the two then have the same members: on a simplicial border, which holds
-the closure of each of its faces, that is every closure.
+The definitions: the empty order is the (-1)-surface and the (-1)-PCM,
+two incomparable faces the 0-surface and one face the 0-PCM. For k >= 1,
+a k-surface is connected with every strict neighborhood theta(x) a
+(k-1)-surface, and a k-PCM has rank k and is connected, with a nonempty
+border (the faces whose neighborhood is not a (k-1)-surface) whose faces'
+neighborhoods are (k-1)-PCMs. A surface has no border, so no PCM of rank
+k >= 0 is a surface. In an interval (lo, hi), theta(x) is the order join
+(lo, x) * (x, hi), as each face below x lies below each face above it.
 
-Most intervals are decided by laws over the face ranks fr (the longest
-chain below a face), the co-ranks cr (the longest chain above it) and the
-cover lists, extended to the sentinels by fr[-1] = cr[n] = -1 and
-fr[n] = cr[-1] = rank + 1. Each face g of (lo, hi) has fr[lo] < fr[g] <
-fr[hi] and cr[lo] > cr[g] > cr[hi]; let d = min(fr[hi] - fr[lo],
-cr[lo] - cr[hi]), so the interval has rank at most d - 2.
+The law. P is a surface or a PCM of rank R iff it is graded, every
+interval with d = 2 has one or two members, and every interval with
+d >= 3 is connected. It is then an R-surface iff none is lone, and an
+R-PCM otherwise (the empty order, R = -1, is both).
 
-* d <= 1: the interval is empty, as no rank lies strictly between.
-* d == 2: each member g has fr[g] = fr[lo] + 1, so it covers lo (a face
-  between them would rank between), and is covered by hi likewise (dually
-  with cr). The members form an antichain, as they share a rank: a
-  0-surface iff there are exactly two, a PCM iff at most one. On a closure
-  this reads: a face of rank 0 has an empty closure, and one of rank 1
-  the antichain of its covers. Openings are dual, with cr and up-covers.
-* Connectivity. Let hi < n. Each member lies below a cover c of hi inside
-  the interval, so (lo, hi) is the union of the pieces (lo, c], each
-  connected, as c is its top. If x < y with x in the piece of c and y in
-  that of c', then x < y <= c', so x is in both: two pieces are joined by
-  a comparability only if they overlap, and the interval is connected iff
-  the overlap graph of its pieces is. The covers of hi form an antichain,
-  so the pieces of c and c' overlap iff (lo, c) and (lo, c') do. Openings
-  are dual, with the up-covers of lo. The whole poset is connected iff its
-  cover graph is, as each comparability is a chain of covers.
-* Rank. A longest chain of (lo, hi) lies in the piece of a cover c of hi,
-  and c tops it: rank(lo, hi) is the maximum of rank(lo, c) + 1 over the
-  covers c of hi inside it. On a closure it is fr[h] - 1, and on an
-  opening cr[h] - 1.
+Proof. Two join laws, of Evako, Kopperman & Mukhin (1996) and Daragon,
+Couprie & Bertrand ("Discrete surfaces and frontier orders", JMIV 2005):
+X * Y is a (k+l+1)-surface iff X is a k-surface and Y an l-surface; and a
+nonempty X * Y is an m-PCM iff (i) X and Y are each a surface or a PCM,
+(ii) their ranks sum to m - 1 and (iii) they are not both surfaces. The
+second, by induction on m: if X is empty, Z = X * Y is Y, and (i)-(iii)
+say that Y is an m-PCM; Y empty is dual. Otherwise Z is connected, rank
+Z = rank X + rank Y + 1, and a face x of X has theta_Z(x) = theta_X(x) *
+Y, by the first law a (rank Z - 1)-surface iff Y is a surface and
+theta_X(x) a (rank X - 1)-surface: x is on Z's border iff it is on X's or
+Y is not a surface. Faces of Y are dual. If (i)-(iii) hold, one factor,
+say Y, is not a surface, so X, nonempty, lies in the border. For x on it,
+theta_X(x) is a surface or PCM of rank rank X - 1, and not a surface when
+Y is one, as x is then on the border of the PCM X: so theta_X(x) and Y
+meet (i)-(iii) at m - 1, and theta_Z(x) is an (m-1)-PCM by induction.
+Conversely, if Z is an m-PCM, its border is nonempty, so X and Y are not
+both surfaces, and rank Z = m gives (ii). For y in Y, X * theta_Y(y) is
+an (m-1)-surface or (m-1)-PCM, so X is a surface by the first law or, by
+induction, a surface or PCM; Y likewise.
 
-The surface ranks of closures and openings are stored in two per-face
-lists, the poset's ``closure_surface`` and ``opening_surface`` memos,
-which start with the faces of rank (co-rank) 0 and 1 that the laws
-decide. Any other answer that no law gives is stored under the interval's
-member mask, in the poset's ``view_rank``, ``surface``, ``border`` and
-``pcm`` memos, so that equal intervals of distinct endpoints share one
-entry; borders are stored as masks. A bit test decides a surface view of
-at most two faces and a PCM view of at most one, and these are never
-stored. The loop over an interval's faces reads the lists, the laws and
-the memo itself, and calls the recursion only on a factor none decides.
-The recursion is depth-bounded: each view it visits from a view of rank r
-has rank below r, so each recognizer refuses a view (not its ambient
-poset) of rank above ``MAX_RANK`` with a DomainError (``views_of``), and
-the recursion never reaches Python's frame limit.
+* A surface or PCM Q of rank k is graded. For k <= 0 it is an antichain.
+  For k >= 1, each theta(x) is a surface or PCM of rank k - 1, graded by
+  induction. Take a maximal chain C of Q and x in C: C - x is a maximal
+  chain of theta(x), as a face comparable to all of C - x and to x would
+  extend C. So C has k + 1 faces.
+* For a graded P and y < z, by induction on d: (y, z) is a surface or PCM
+  (of rank d - 2) iff every interval (u, w) with y <= u < w <= z passes
+  the law, and a surface iff none of them is lone. For d = 1, (y, z) is
+  empty. For d = 2 it is an antichain: the 0-surface with two members,
+  the 0-PCM with one, neither with more. For d >= 3, each (u, w) other
+  than (y, z) lies in [y, x] or [x, z] for a face x of (y, z): x = w if
+  u = y, else x = u. If they all pass, each factor (y, x) and (x, z) is a
+  surface or PCM by induction, their ranks sum to d - 4, so each
+  theta(x) is a (d-3)-surface (both factors surfaces) or a (d-3)-PCM (by
+  the join laws). A connected (y, z) is then a (d-2)-surface if no face
+  is on its border, and a (d-2)-PCM if some is. Conversely a surface or
+  PCM of rank d - 2 >= 1 is connected, and each theta(x) is a
+  (d-3)-surface or a (d-3)-PCM, so by the join laws both factors are
+  surfaces or PCMs, and by induction their intervals pass. It is a
+  surface iff every theta(x) is a (d-3)-surface, iff every factor is a
+  surface, iff no (u, w) is lone.
+
+With y = -1 and z = n this is the law, at d = R + 2.
+
+Connectivity. Let d >= 3 and z a face. Each face of (y, z) lies below a
+cover c of z inside it, so (y, z) is the union of the pieces (y, c], each
+connected, as c is its top. If x < x' with x in the piece of c and x' in
+that of c', then x is in both: pieces are joined only by overlapping, and
+(y, z) is connected iff the overlap graph of its pieces is. Two pieces
+that meet share a face covering y, as each face of (y, z) lies above one.
+So the pass numbers the covers of z and gives each face x below z the bit
+mask sig[x] of the covers above it: (y, z) is connected iff the masks
+sig[w] of the faces w covering y below z join up, by overlaps, into
+sig[y]. For y = -1 these w are the minimal faces below z. The pieces of
+an opening (y, n) are dually the [c, n) of the faces c covering y, and
+two meet iff the openings of their c do. The whole poset is connected
+iff its cover graph is. On a graded poset sig[y] holds the members of a
+d = 2 interval (y, z).
+
+The pass (``_closures``) visits the faces bottom-up and decides each
+closure from its covers' closures and the intervals (y, z) below z, with
+no recursion and no memo. A face with a cover whose closure fails fails,
+as its closure holds that closure's intervals, and is skipped: on a
+poset whose faces of rank 1 have more than two covers the pass ends at
+rank 1. Then the openings (y, n) and the whole poset (``Law``). The pass
+tests the grading at each face's covers only. A maximal face m of rank
+below R >= 1 then fails a connectivity test: let T hold m and the faces
+below it. If P is connected, some face of T is covered by a face outside
+T; let x be a maximal one. Each face above a cover of x inside T lies in
+T, and none above a cover outside T does, so (x, n), with d >= 3, is not
+connected.
+
+The border. A face x of a rank-R poset is on the border iff theta(x) =
+(-1, x) * (x, n) is not an (R-1)-surface: by the surface join law, iff
+its closure or its opening is not a surface, or fr[x] + cr[x] != R (a
+surface has the rank of its poset, fr[x] - 1 and cr[x] - 1 here). The
+pass decides each closure by the law, and the same pass on the dual
+order each opening. On a PCM both pass the law, as their extended
+intervals are those (y, z) of P with z <= x (closure) or x <= y
+(opening), and fr[x] + cr[x] = R. So x is on the border of a PCM iff some
+lone (y, z) has z <= x or x <= y, with no second pass.
+
+Each recognizer refuses a poset of rank above ``MAX_RANK`` with a
+DomainError (``law_of``); a view that is not a whole poset is first built
+as one (``to_poset``, cached per view mask).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from .poset import Poset, SuborderView, as_view, component_masks, iter_bits
@@ -82,413 +130,205 @@ __all__ = [
     "is_smooth_pcm",
 ]
 
-# The rank the recursion returns for a view that is not a surface or PCM.
-NOT_HELD = -2
+# The kind of an extended closure, opening or whole poset by the law: it
+# fails, passes with a lone interval (a PCM), or passes with none (a surface).
+NEITHER, PCM, SURFACE = 0, 1, 2
 
-# Upper bound on the rank of the view the recursion starts from, which it
-# never leaves, so the ambient poset may be deeper. Each rank nests about
-# one frame, as each factor is decided inside the loop that reads it:
-# ``is_pcm`` on a 100-face chain (rank 99) needs a frame limit of 104 from
-# the top level, so rank 256 needs about 265 of Python's default 1000.
+# Upper bound on the rank of a poset the recognizers take. The pass checks
+# each interval (y, z) of comparable faces once, and a chain of n faces has
+# about n^2 / 2 of them, each decided in a step that grows with z's rank.
 MAX_RANK = 256
 
 
-def _with_sentinels(poset: Poset) -> tuple[tuple, ...]:
-    """Face ranks, co-ranks, closures, openings, covers and up-covers, each
-    extended by the top sentinel at index n and the bottom one at index -1
-    (that is, n + 1)."""
-    n = len(poset)
-    top = poset.rank() + 1
-    down, up = poset.cover_lists, poset.up_cover_lists
-    return (
-        poset.face_ranks + (top, -1),
-        poset.co_ranks + (-1, top),
-        poset.alpha_masks + (poset.full_mask, 0),
-        poset.beta_masks + (0, poset.full_mask),
-        down + (tuple(h for h in range(n) if not up[h]), ()),
-        up + ((), tuple(h for h in range(n) if not down[h])),
-    )
-
-
-def _decided(ranks: tuple[int, ...], covers: tuple[tuple[int, ...], ...]) -> list[int | None]:
-    """Per face, the surface rank of its closure that the laws give from its
-    rank and covers (of its opening, from its co-rank and up-covers), or
-    None: empty at rank 0, and at rank 1 the antichain of its covers."""
-    return [
-        -1 if r == 0 else (0 if len(cs) == 2 else NOT_HELD) if r == 1 else None
-        for r, cs in zip(ranks, covers)
-    ]
-
-
-class Views:
-    """Rank, surface, border and PCM tests on the intervals of one poset."""
-
-    def __init__(self, poset: Poset, within: tuple[Views, tuple[int, ...], int] | None = None):
-        """``within`` is set when ``poset`` is a view of another poset built as
-        its own: the ambient's ``Views``, the ambient id of each face, and the
-        view's mask in the ambient."""
-        self.poset = poset
-        self.n = len(poset)
-        self.within = within
-        tables = poset.memo("sentinel_tables", lambda: _with_sentinels(poset))
-        self.fr, self.cr, self.alpha, self.beta, self.down, self.up = tables
-        self.closures = poset.memo("closure_surface", lambda: _decided(poset.face_ranks, poset.cover_lists))
-        self.openings = poset.memo("opening_surface", lambda: _decided(poset.co_ranks, poset.up_cover_lists))
-        self._ranks = poset.memo("view_rank")
-        self._surfaces = poset.memo("surface")
-        self._borders = poset.memo("border")
-        self._pcms = poset.memo("pcm")
-
-    def members(self, lo: int, hi: int) -> int:
-        """Member mask of (lo, hi): a table entry on a closure or an opening."""
-        if lo < 0:
-            return self.alpha[hi]
-        if hi == self.n:
-            return self.beta[lo]
-        return self.beta[lo] & self.alpha[hi]
-
-    def bound(self, lo: int, hi: int) -> int:
-        """d: the interval (lo, hi) of comparable lo < hi has rank at most d - 2."""
-        d = self.fr[hi] - self.fr[lo]
-        e = self.cr[lo] - self.cr[hi]
-        return d if d < e else e
-
-    def antichain(self, lo: int, hi: int) -> int:
-        """The member count of an interval with d == 2, an antichain."""
-        if lo < 0:
-            return len(self.down[hi])
-        if hi == self.n:
-            return len(self.up[lo])
-        return (self.beta[lo] & self.alpha[hi]).bit_count()
-
-    def rank(self, lo: int, hi: int) -> int:
-        """Rank of (lo, hi); -1 when empty."""
-        if lo < 0:
-            return self.fr[hi] - 1
-        if hi == self.n:
-            return self.cr[lo] - 1
-        mask = self.beta[lo] & self.alpha[hi]
-        if not mask:
-            return -1
-        if self.bound(lo, hi) == 2:
-            return 0
-        got = self._ranks.get(mask)
-        if got is None:
-            got = 0
-            for c in self.down[hi]:
-                if mask >> c & 1:
-                    r = self.rank(lo, c) + 1
-                    if r > got:
-                        got = r
-            self._ranks[mask] = got
-        return got
-
-    def connected(self, lo: int, hi: int) -> bool:
-        """Connectedness of a nonempty interval, from the overlaps of its pieces."""
-        n = self.n
-        if hi < n:
-            if lo < 0:
-                parts = [self.alpha[c] for c in self.down[hi]]
+def _joined(parts: list[int]) -> bool:
+    """Whether the overlap graph of the nonzero masks ``parts`` is connected."""
+    comp, *rest = parts
+    grew = True
+    while rest and grew:
+        left = []
+        for part in rest:
+            if part & comp:
+                comp |= part
             else:
-                below = self.beta[lo]
-                parts = [below & self.alpha[c] for c in self.down[hi] if below >> c & 1]
-        elif lo >= 0:
-            parts = [self.beta[c] for c in self.up[lo]]
-        else:
-            return self._cover_graph_connected()
-        comp, *rest = parts
-        grew = True
-        while rest and grew:
-            left = []
-            for part in rest:
-                if part & comp:
-                    comp |= part
-                else:
-                    left.append(part)
-            grew = len(left) < len(rest)
-            rest = left
-        return not rest
+                left.append(part)
+        grew = len(left) < len(rest)
+        rest = left
+    return not rest
 
-    def _cover_graph_connected(self) -> bool:
-        down, up = self.down, self.up
-        seen = [False] * self.n
-        seen[0] = True
-        todo = [0]
-        reached = 1
-        while todo:
-            h = todo.pop()
-            for nbrs in (down[h], up[h]):
-                for g in nbrs:
-                    if not seen[g]:
-                        seen[g] = True
-                        reached += 1
-                        todo.append(g)
-        return reached == self.n
 
-    def surface(self, lo: int, hi: int) -> int:
-        """Surface rank of (lo, hi), or NOT_HELD.
-
-        The recursion over the definition: the empty order is the
-        (-1)-surface; exactly two mutually non-adjacent faces form the
-        0-surface; otherwise the view must be connected with every strict
-        neighborhood a (k-1)-surface. For g in (lo, hi), every face of
-        (lo, g) lies below g and so below every face of (g, hi): the strict
-        neighborhood of g is the order join (lo, g) * (g, hi). By the join
-        law for discrete surfaces (Evako, Kopperman & Mukhin 1996; Daragon,
-        Couprie & Bertrand, "Discrete surfaces and frontier orders", JMIV
-        2005), X * Y is a (k+l+1)-surface exactly when X is a k-surface and
-        Y an l-surface, so each neighborhood is decided by its two factors.
-        These are far fewer views than the neighborhoods, and faces share
-        them. The definition also asks k to be the view's rank, which holds
-        by the rank law for order joins: a longest chain of V through g is
-        a longest chain below g, then g, then a longest chain above it, so
-        rank V = 1 + max over g of rank(theta(g) & V). By induction a
-        k-surface has rank k (the empty order rank -1, two incomparable
-        faces rank 0), so V has rank k. The loop over the faces is written
-        out here, with no helper frame: the recursion nests one frame per
-        rank.
-        """
-        n = self.n
-        closures, openings = self.closures, self.openings
-        if lo < 0 and hi < n:
-            got = closures[hi]
-            if got is not None:
-                return got
-            mask = self.alpha[hi]
-        elif hi == n and lo >= 0:
-            got = openings[lo]
-            if got is not None:
-                return got
-            mask = self.beta[lo]
-        else:
-            # an inner interval, or the whole poset
-            d = self.fr[hi] - self.fr[lo]
-            e = self.cr[lo] - self.cr[hi]
-            if e < d:
-                d = e
-            if d < 2:
-                return -1
-            mask = self.beta[lo] & self.alpha[hi]
-            count = mask.bit_count()
+def _below(z: int, down, up, sig: list[int], lows: list[int]) -> int:
+    """The kind the intervals (y, z) with d >= 2 give the closure of a face z
+    of rank >= 2 whose covers' closures pass; appends the y of each lone one
+    to ``lows``. Walks the closure down rank by rank, filling ``sig`` (see
+    the module docstring), which it leaves zero."""
+    covers = down[z]
+    for i, c in enumerate(covers):
+        sig[c] = 1 << i
+    walked = list(covers)
+    level = covers
+    d = 2
+    kind = SURFACE
+    try:
+        while True:
+            lower = []
+            for u in level:
+                s = sig[u]
+                for x in down[u]:
+                    if not sig[x]:
+                        lower.append(x)
+                    sig[x] |= s
+            if not lower:
+                # level holds the minimal faces: the closure (-1, z)
+                return kind if _joined([sig[v] for v in level]) else NEITHER
+            walked += lower
             if d == 2:
-                return -1 if count == 0 else 0 if count == 2 else NOT_HELD
-            if count <= 2:
-                # decided by a bit test, so never stored
-                if count == 0:
-                    return -1
-                top = mask.bit_length() - 1
-                if count == 2 and not (self.alpha[top] & mask or self.beta[top] & mask):
-                    return 0
-                return NOT_HELD
-            got = self._surfaces.get(mask)
-            if got is not None:
-                return got
-        result = self._ambient_surface(lo, hi) if self.within else None
-        if result is None and self.connected(lo, hi):
-            fr, cr, alpha, beta = self.fr, self.cr, self.alpha, self.beta
-            memo = self._surfaces
-            k = NOT_HELD
-            for g in range(n) if lo < 0 and hi == n else iter_bits(mask):
-                # a factor that a list or the memo holds, or that a law
-                # decides, is read here without a call; the memo returns None
-                # on a view of at most two faces, never stored
-                if lo < 0:
-                    a = closures[g]
-                else:
-                    d = fr[g] - fr[lo]
-                    e = cr[lo] - cr[g]
-                    if e < d:
-                        d = e
-                    if d < 2:
-                        a = -1
-                    else:
-                        sub = beta[lo] & alpha[g]
-                        if d == 2:
-                            m = sub.bit_count()
-                            a = -1 if m == 0 else 0 if m == 2 else NOT_HELD
-                        else:
-                            a = memo.get(sub)
-                if a is None:
-                    a = self.surface(lo, g)
-                if a == NOT_HELD:
-                    break
-                if hi == n:
-                    b = openings[g]
-                else:
-                    d = fr[hi] - fr[g]
-                    e = cr[g] - cr[hi]
-                    if e < d:
-                        d = e
-                    if d < 2:
-                        b = -1
-                    else:
-                        sub = beta[g] & alpha[hi]
-                        if d == 2:
-                            m = sub.bit_count()
-                            b = -1 if m == 0 else 0 if m == 2 else NOT_HELD
-                        else:
-                            b = memo.get(sub)
-                if b is None:
-                    b = self.surface(g, hi)
-                if b == NOT_HELD or k != NOT_HELD and a + b + 1 != k:
-                    break
-                k = a + b + 1
-                if k < 0:
-                    break
+                for y in lower:
+                    m = sig[y].bit_count()
+                    if m > 2:
+                        return NEITHER
+                    if m == 1:
+                        kind = PCM
+                        lows.append(y)
             else:
-                result = k + 1
-        if result is None:
-            result = NOT_HELD
-        if lo < 0 and hi < n:
-            closures[hi] = result
-        elif hi == n and lo >= 0:
-            openings[lo] = result
+                for y in lower:
+                    s = sig[y]
+                    if s & (s - 1) and not _joined([sig[w] for w in up[y] if sig[w]]):
+                        return NEITHER
+            level = lower
+            d += 1
+    finally:
+        for x in walked:
+            sig[x] = 0
+
+
+def _closures(ranks, down, up) -> tuple[list[int], list[int]]:
+    """The kind of each face's closure, by one bottom-up pass of the law over
+    face ranks, cover lists and up-cover lists, and the faces y of the lone
+    intervals (y, z) met, z a face. Run on co-ranks, up-covers and covers, it
+    gives each face's opening instead."""
+    kinds = [NEITHER] * len(ranks)
+    lows: list[int] = []
+    sig = [0] * len(ranks)
+    for z in sorted(range(len(ranks)), key=ranks.__getitem__):
+        r = ranks[z]
+        kind = SURFACE
+        for c in down[z]:
+            if kinds[c] == NEITHER or ranks[c] != r - 1:
+                break
+            if kinds[c] == PCM:
+                kind = PCM
         else:
-            self._surfaces[mask] = result
-        return result
+            if r == 1:
+                # (-1, z) has d = 2: the covers of z
+                m = len(down[z])
+                kind = NEITHER if m > 2 else PCM if m == 1 else kind
+            elif r >= 2:
+                kind = min(kind, _below(z, down, up, sig, lows))
+            kinds[z] = kind
+    return kinds, lows
 
-    def _ambient_surface(self, lo: int, hi: int) -> int | None:
-        """The surface rank of (lo, hi) read off the ambient poset, when the
-        ambient interval between the same faces lies inside this view and so
-        has the same members; else None. On a border built as its own poset,
-        the closures and most inner intervals are such intervals, and the
-        PCM walk has decided them."""
-        ambient, ids, inside = self.within
-        lo = ids[lo] if lo >= 0 else -1
-        hi = ids[hi] if hi < self.n else ambient.n
-        if ambient.members(lo, hi) & ~inside:
-            return None
-        return ambient.surface(lo, hi)
 
-    def join(self, lo: int, g: int, hi: int) -> int:
-        """Surface rank of g's strict neighborhood in (lo, hi), the join
-        (lo, g) * (g, hi), or NOT_HELD."""
-        a = self.closures[g] if lo < 0 else self.surface(lo, g)
-        if a is None:
-            a = self.surface(lo, g)
-        if a == NOT_HELD:
-            return NOT_HELD
-        b = self.openings[g] if hi == self.n else self.surface(g, hi)
-        if b is None:
-            b = self.surface(g, hi)
-        if b == NOT_HELD:
-            return NOT_HELD
-        return a + b + 1
+# Byte translations: a kind to 1 for PCM and 0 else, and a flag to the
+# digit "1" when it is nonzero and "0" else.
+_LONE = bytes.maketrans(bytes([NEITHER, PCM, SURFACE]), bytes([0, 1, 0]))
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 
-    def border(self, lo: int, hi: int) -> int:
-        """Mask of the faces of (lo, hi) whose strict neighborhood is not an
-        (r-1)-surface, r the rank of (lo, hi)."""
-        mask = self.members(lo, hi)
-        got = self._borders.get(mask)
-        if got is None:
-            r = self.rank(lo, hi)
-            if r < 0:
-                raise DomainError("the border is undefined on the empty order")
-            got = 0
-            for g in range(hi) if lo < 0 and hi == self.n else iter_bits(mask):
-                if self.join(lo, g, hi) != r - 1:
-                    got |= 1 << g
-            self._borders[mask] = got
-        return got
 
-    def pcm(self, lo: int, hi: int) -> int:
-        """PCM rank of (lo, hi), or NOT_HELD.
+def _mask(flags: bytearray) -> int:
+    """The bit mask of the positions of the nonzero flags."""
+    return int(flags[::-1].translate(_DIGITS), 2) if flags else 0
 
-        Base cases: the empty order is the (-1)-PCM and a singleton the
-        0-PCM. For rank r >= 1 the view must be connected with a nonempty
-        border, and every border face's strict neighborhood must be an
-        (r-1)-PCM. Interior faces need no test: the border is exactly the
-        faces whose neighborhood is not an (r-1)-surface. A border face g
-        has the neighborhood A * B, A = (lo, g) and B = (g, hi) (see
-        ``surface``), which is nonempty as the view is connected. It is
-        decided by its two factors, by the join law for PCMs: a nonempty
-        join Z = X * Y is an m-PCM iff (i) each of X and Y is a surface or
-        a PCM, (ii) their ranks sum to m - 1 and (iii) they are not both
-        surfaces, the empty order counting as both. On the border (iii)
-        needs no test: two surface factors whose ranks sum to r - 2 would
-        make g interior. Unless the border is stored, it is found in the
-        same loop: g is on it unless its factors are surfaces whose ranks
-        sum to r - 2. The walk stops at the first border face that fails,
-        and stores the border only once it has scanned every face. ``pcm``
-        runs only on a factor that is not a surface.
 
-        Proof, by induction on m. A PCM of rank >= 0 is never a surface: a
-        0-PCM is one face, and a k-PCM with k >= 1 has a border, which a
-        k-surface has not. If X is empty, Z = Y and (i)-(iii) say that Y is
-        an m-PCM; Y empty is dual. Otherwise Z is connected, rank Z =
-        rank X + rank Y + 1, and a face x of X has theta_Z(x) =
-        theta_X(x) * Y. By the surface join law that is a (rank Z - 1)-
-        surface iff Y is a surface and theta_X(x) a (rank X - 1)-surface:
-        x is a border face of Z iff x is on X's border or Y is not a
-        surface. Faces of Y are dual. If (i)-(iii) hold, one factor, say Y,
-        is not a surface, so X, nonempty, lies in the border. For x on the
-        border, theta_X(x) is a surface or a PCM of rank rank X - 1 (X is
-        one or the other), and it is not a surface when Y is one, as x is
-        then on the border of the PCM X. So theta_X(x) and Y meet (i)-(iii)
-        at m - 1, and theta_Z(x) is an (m-1)-PCM by induction. Conversely,
-        let Z be an m-PCM. Its border is nonempty, so X and Y are not both
-        surfaces, and rank Z = m gives (ii). For y in Y, X * theta_Y(y) is
-        an (m-1)-surface or an (m-1)-PCM, so X is a surface by the join
-        law or, by induction, a surface or a PCM; Y likewise.
-        """
-        n = self.n
-        d = self.fr[hi] - self.fr[lo]
-        e = self.cr[lo] - self.cr[hi]
-        if e < d:
-            d = e
-        if d < 3:
-            if d < 2:
-                return -1
-            m = self.antichain(lo, hi)
-            return m - 1 if m <= 1 else NOT_HELD
-        if lo < 0:
-            mask = self.alpha[hi]
-        elif hi == n:
-            mask = self.beta[lo]
-        else:
-            mask = self.beta[lo] & self.alpha[hi]
-            count = mask.bit_count()
-            if count <= 1:
-                return count - 1
-        got = self._pcms.get(mask)
-        if got is not None:
-            return got
-        result = NOT_HELD
-        # a connected view of two or more faces has rank r >= 1
-        if self.connected(lo, hi):
-            r = self.rank(lo, hi)
-            bmask = self._borders.get(mask)
-            scan = bmask is None
-            if not scan:
-                faces = iter_bits(bmask)
-            else:
-                faces = range(n) if lo < 0 and hi == n else iter_bits(mask)
-            found = 0
-            closures, openings = self.closures, self.openings
-            # one loop, with no helper frame (see MAX_RANK)
-            for g in faces:
-                a = closures[g] if lo < 0 else None
-                if a is None:
-                    a = self.surface(lo, g)
-                b = openings[g] if hi == n else None
-                if b is None:
-                    b = self.surface(g, hi)
-                if scan:
-                    if a != NOT_HELD and b != NOT_HELD and a + b == r - 2:
-                        continue
-                    found |= 1 << g
-                if a == NOT_HELD:
-                    a = self.pcm(lo, g)
-                if b == NOT_HELD and a != NOT_HELD:
-                    b = self.pcm(g, hi)
-                if a == NOT_HELD or b == NOT_HELD or a + b != r - 2:
-                    break
-            else:
-                if scan:
-                    bmask = self._borders[mask] = found
-                result = r if bmask else NOT_HELD
-        self._pcms[mask] = result
-        return result
+class Law:
+    """One pass of the law over a whole poset, built once per poset (``law_of``).
+
+    ``closures[h]`` is the kind of face h's extended closure; the kind of
+    the whole poset, the openings and the border are found on first use.
+    It keeps the poset's rank and tables, not the poset, which holds it: so
+    a poset is freed as soon as it is dropped.
+    """
+
+    def __init__(self, poset: Poset):
+        self.rank = poset.rank()
+        self.face_ranks, self.co_ranks = poset.face_ranks, poset.co_ranks
+        self.down, self.up = poset.cover_lists, poset.up_cover_lists
+        self.beta = poset.beta_masks
+        self.closures, self._lows = _closures(self.face_ranks, self.down, self.up)
+
+    @cached_property
+    def kind(self) -> int:
+        """The kind of the whole poset: its closures, then its openings (y, n)
+        and (-1, n)."""
+        fr, up, beta, top = self.face_ranks, self.up, self.beta, self.rank
+        n = len(fr)
+        kind = min(self.closures, default=SURFACE)
+        if kind == NEITHER:
+            return NEITHER
+        for y in range(n):
+            d = top + 1 - fr[y]
+            if d == 2:
+                m = len(up[y])
+                if m > 2:
+                    return NEITHER
+                if m == 1:
+                    kind = PCM
+                    self._lows.append(y)
+            elif d >= 3 and len(up[y]) > 1 and not _joined([beta[c] for c in up[y]]):
+                return NEITHER
+        if top == 0:
+            # (-1, n) has d = 2: the faces
+            return NEITHER if n > 2 else PCM if n == 1 else SURFACE
+        if top >= 1 and not _cover_graph_connected(self.down, up):
+            return NEITHER
+        return kind
+
+    @cached_property
+    def openings(self) -> list[int]:
+        """The kind of each face's extended opening."""
+        return _closures(self.co_ranks, self.up, self.down)[0]
+
+    def surface_rank(self) -> int | None:
+        return self.rank if self.kind == SURFACE else None
+
+    def pcm_rank(self) -> int | None:
+        return self.rank if self.kind == PCM or self.rank < 0 else None
+
+    @cached_property
+    def border(self) -> int:
+        """Mask of the border faces: on a PCM by the lone intervals, on any
+        other poset of rank >= 0 by the closures and openings."""
+        if self.rank < 0:
+            raise DomainError("the border is undefined on the empty order")
+        if self.kind == SURFACE:
+            return 0
+        if self.kind == PCM:
+            # above the z of a lone (y, z), a PCM closure, or below its y:
+            # flag 1 and flag 2, which also marks the faces walked
+            on = bytearray(self.closures).translate(_LONE)
+            todo = list(self._lows)
+            while todo:
+                y = todo.pop()
+                if on[y] != 2:
+                    on[y] = 2
+                    todo += self.down[y]
+            return _mask(on)
+        fr, cr = self.face_ranks, self.co_ranks
+        return _mask(bytearray(
+            not (a == SURFACE == b and fr[h] + cr[h] == self.rank)
+            for h, (a, b) in enumerate(zip(self.closures, self.openings))
+        ))
+
+
+def _cover_graph_connected(down, up) -> bool:
+    seen = [False] * len(down)
+    seen[0] = True
+    reached = [0]
+    for h in reached:
+        for g in down[h] + up[h]:
+            if not seen[g]:
+                seen[g] = True
+                reached.append(g)
+    return len(reached) == len(down)
 
 
 def as_poset(view: SuborderView) -> Poset:
@@ -503,18 +343,14 @@ def as_poset(view: SuborderView) -> Poset:
     return got
 
 
-def views_of(obj: "Poset | SuborderView") -> Views:
-    """The ``Views`` of ``obj`` as a whole poset (``as_poset``), once its rank
+def law_of(obj: "Poset | SuborderView") -> tuple[Poset, Law]:
+    """``obj`` as a whole poset (``as_poset``) and its ``Law``, once its rank
     is found to be within ``MAX_RANK``."""
-    view = as_view(obj)
-    poset = as_poset(view)
+    poset = as_poset(as_view(obj))
     r = poset.rank()
     if r > MAX_RANK:
-        msg = f"a poset of rank {r} would nest the recursion {r} views deep"
-        raise DomainError(f"{msg}, above the limit of {MAX_RANK}")
-    if poset is view.ambient:
-        return Views(poset)
-    return Views(poset, (Views(view.ambient), view.members, view.mask))
+        raise DomainError(f"a poset of rank {r} is above the rank limit of {MAX_RANK}")
+    return poset, poset.memo("law", lambda: Law(poset))
 
 
 @dataclass(frozen=True)
@@ -530,15 +366,9 @@ class Verdict:
         return self.rank is not None
 
 
-def _verdict(rank: int) -> Verdict:
-    """The verdict of a rank the recursion returned."""
-    return Verdict(None if rank == NOT_HELD else rank)
-
-
 def is_k_surface(obj: "Poset | SuborderView") -> Verdict:
-    """Run the recursive surface recognizer on a poset or suborder view."""
-    views = views_of(obj)
-    return _verdict(views.surface(-1, views.n))
+    """The surface verdict of a poset or suborder view, by the law."""
+    return Verdict(law_of(obj)[1].surface_rank())
 
 
 @dataclass(frozen=True)
@@ -572,21 +402,16 @@ def _in_ambient(view: SuborderView, mask: int) -> int:
 def border_mask_of(obj: "Poset | SuborderView") -> int:
     """Bitmask of the border faces of a poset or view of rank >= 0."""
     view = as_view(obj)
-    views = views_of(view)
-    return _in_ambient(view, views.border(-1, views.n))
+    return _in_ambient(view, law_of(view)[1].border)
 
 
 def border(obj: "Poset | SuborderView") -> BorderDecomposition:
-    """Border decomposition of a poset or suborder view (rank >= 0).
-
-    Scans the faces in id order and tests each strict neighborhood against
-    the (rank-1)-surface target; the border faces are then partitioned
-    into theta-connected components, each with its surface verdict.
-    """
+    """Border decomposition of a poset or suborder view (rank >= 0): the
+    border faces, partitioned into theta-connected components, each with
+    its surface verdict."""
     view = as_view(obj)
-    views = views_of(view)
-    p = views.poset
-    bmask = views.border(-1, views.n)
+    p, law = law_of(view)
+    bmask = law.border
 
     def faces(mask: int) -> frozenset[int]:
         return frozenset(iter_bits(_in_ambient(view, mask)))
@@ -601,12 +426,12 @@ def border(obj: "Poset | SuborderView") -> BorderDecomposition:
 
 
 def is_pcm(obj: "Poset | SuborderView") -> Verdict:
-    views = views_of(obj)
-    return _verdict(views.pcm(-1, views.n))
+    """The PCM verdict of a poset or suborder view, by the law."""
+    return Verdict(law_of(obj)[1].pcm_rank())
 
 
 def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
-    """The PCM walk, then condition (C) on the border it computed.
+    """The PCM verdict, then condition (C) on the border.
 
     A smooth n-PCM (n >= 1) is an n-PCM whose border B is a separated
     union of (n-1)-surfaces (for n = 1, of mutually non-adjacent faces in
@@ -615,13 +440,13 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
     (C) asks each h in B for an (n-2)-surface theta_B(h) = theta(h) & B.
     The law decided here holds on every poset: a view is a smooth n-PCM
     iff it is an n-PCM satisfying (C). B is built as its own poset, in
-    which theta_B(h) is the join of the closure and the opening of h, so
-    ``Views.join`` decides it by its factors and no neighborhood is tested
-    whole. Smooth implies (C) (see
-    ``check_condition_C``). The converse follows from the join law for
-    discrete surfaces (see ``Views.surface``). Write theta_W(x) for the
-    strict neighborhood of x in a view W, B_W for W's border, and recall
-    that a k-surface with k >= 1 is connected.
+    which theta_B(h) is the join of the closure and the opening of h: an
+    (n-2)-surface iff both are surfaces, which the pass and its dual
+    decide, with fr_B[h] + cr_B[h] = n - 1 (see the module docstring). Smooth
+    implies (C) (see ``check_condition_C``). The converse follows from
+    the join law for discrete surfaces. Write theta_W(x) for the strict
+    neighborhood of x in a view W, B_W for W's border, and recall that a
+    k-surface with k >= 1 is connected.
 
     Inclusion: if V has rank m and W = theta_V(h) rank m - 1, then B_W lies
     in B & W. Take x in W off B, say x < h (x > h is dual). The
@@ -651,10 +476,14 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
     theta_{B_W}(x) = theta_N(x) is an (n-3)-surface, and is smooth by
     induction.
     """
-    views = views_of(obj)
-    n = views.pcm(-1, views.n)
-    if n >= 1:
-        b = views_of(SuborderView(views.poset, views.border(-1, views.n)))
-        if any(b.join(-1, h, b.n) != n - 2 for h in range(b.n)):
-            n = NOT_HELD
-    return _verdict(n)
+    p, law = law_of(obj)
+    n = law.pcm_rank()
+    if n is not None and n >= 1:
+        _, b = law_of(SuborderView(p, law.border))
+        # the closures first: the openings take a second pass
+        ranks = zip(b.closures, b.face_ranks, b.co_ranks)
+        if not all(a == SURFACE and f + c == n - 1 for a, f, c in ranks):
+            n = None
+        elif not all(o == SURFACE for o in b.openings):
+            n = None
+    return Verdict(n)

@@ -14,7 +14,10 @@ from typing import Iterator
 from posurf.errors import DomainError
 from posurf.poset import Poset, SuborderView, as_view, component_masks, iter_bits, view_rank
 from posurf.simplicial import SimplicialComplex
-from posurf.surfaces import NOT_HELD, Verdict
+from posurf.surfaces import Verdict
+
+# The rank ``MaskViews`` gives a view that is not a surface or PCM.
+NOT_HELD = -2
 
 
 def face_id(k: SimplicialComplex, simplex) -> int:
@@ -343,15 +346,13 @@ def brute_condition_C(covers, members=None) -> bool:
 
 class MaskViews:
     """Rank, connectivity, surface, border and PCM tests on any member
-    bitmask of one poset: the reference for ``posurf.surfaces.Views``.
+    bitmask of one poset: the reference for the law of ``posurf.surfaces``.
 
     Each neighborhood is split into its two join factors, masks cut from
     the closure and opening tables, and every answer is memoized under its
-    mask. The ``view_rank``, ``surface``, ``border`` and ``pcm`` memos are
-    the library's, which stores the same answer under the same key, so a
-    recognizer run on warm memos reads what the other wrote; ``connected``
-    is this class's own. Nothing is decided by the laws of
-    ``posurf.surfaces`` over face ranks and cover lists.
+    mask, in the poset's ``view_rank``, ``connected``, ``surface``,
+    ``border`` and ``pcm`` memos, which the library does not use. Nothing is
+    decided by the interval law or by face ranks and cover lists.
     """
 
     def __init__(self, poset: Poset):
@@ -404,8 +405,8 @@ class MaskViews:
 
     def surface(self, mask: int) -> int:
         """Surface rank of the view, or NOT_HELD: each strict neighborhood
-        decided by its two join factors (``_join``), as in
-        ``posurf.surfaces.Views.surface``, which proves it."""
+        decided by its two join factors (``_join``), by the join law for
+        discrete surfaces that the ``posurf.surfaces`` docstring cites."""
         count = mask.bit_count()
         if count <= 2:
             if count == 0:
@@ -448,7 +449,7 @@ class MaskViews:
     def pcm(self, mask: int) -> int:
         """PCM rank of the view, or NOT_HELD: the walk over the border,
         each border neighborhood decided by its two join factors, by the
-        join law for PCMs that ``posurf.surfaces.Views.pcm`` proves."""
+        join law for PCMs that the ``posurf.surfaces`` docstring proves."""
         count = mask.bit_count()
         if count <= 1:
             return count - 1
@@ -483,9 +484,9 @@ def pcm_by_walk(obj: "Poset | SuborderView") -> Verdict:
     For rank n >= 1 the view must be connected with a nonempty border, and
     every border face's strict neighborhood, tested whole, an (n-1)-PCM.
     Rank, connectivity and border come from ``MaskViews``; the walk and its
-    memo are its own. It is the reference for ``Views.pcm``, which decides
-    each border neighborhood by its two join factors. The neighborhoods it
-    visits are not intervals, so it is exponential on chains and simplices.
+    memo are its own. It is the reference for ``is_pcm``, which decides by
+    the interval law. The neighborhoods it visits are not intervals, so it
+    is exponential on chains and simplices.
     """
     view = as_view(obj)
     views = MaskViews(view.ambient)

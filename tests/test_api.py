@@ -26,7 +26,7 @@ PUBLIC = {
 def test_each_public_name_is_exported_once():
     assert len(posurf.__all__) == len(set(posurf.__all__))
     assert set(posurf.__all__) == PUBLIC
-    for name in ("Views", "iter_bits", "NOT_HELD", "border_mask_of", "GeneratorSpec"):
+    for name in ("Law", "law_of", "iter_bits", "NOT_HELD", "border_mask_of", "GeneratorSpec"):
         assert name not in posurf.__all__
 
 

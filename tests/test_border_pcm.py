@@ -189,7 +189,7 @@ def test_pinched_box_pcm_but_not_smooth():
 
 
 def test_pcm_and_smooth_verdicts_do_not_depend_on_call_order():
-    # the smooth test reads the PCM memo and the border that either call stores
+    # the smooth test reads the pass and the border that either call caches
     for order in ((is_smooth_pcm, is_pcm), (is_pcm, is_smooth_pcm)):
         p = pinched_box(6).face_poset()
         got = {recognizer: recognizer(p) for recognizer in order}
@@ -204,11 +204,10 @@ def test_pcm_and_smooth_verdicts_do_not_depend_on_call_order():
 def _check_smooth_law(p: Poset, members=None) -> bool:
     """Check the smooth PCM law and the steps of its proof on one view.
 
-    ``is_smooth_pcm`` (the PCM walk, then condition (C)) must match the
+    ``is_smooth_pcm`` (the law, then condition (C)) must match the
     literal partition oracle and the definition's smooth walk, and
-    ``is_pcm`` (each border neighborhood by its join factors) the walk
-    that tests each neighborhood whole. On a PCM of
-    rank >= 1 that satisfies (C), by its definition, every border face's
+    ``is_pcm`` (the law) the walk that tests each neighborhood whole. On a
+    PCM of rank >= 1 that satisfies (C), by its definition, every border face's
     neighborhood must have the neighborhood's trace on the border as its
     own border (``check_border_neighborhood_equality``; the proof's lemma
     M gives it). Returns whether the view was such a PCM.
@@ -228,7 +227,7 @@ def _check_smooth_law(p: Poset, members=None) -> bool:
 
 
 def test_smooth_matches_literal_partition_oracle():
-    # is_smooth_pcm decides condition (C) after the PCM walk; the oracle
+    # is_smooth_pcm decides condition (C) after the PCM verdict; the oracle
     # instead enumerates every partition of the border into separated
     # surface parts, verbatim, and the definition's walk tests each
     # border component
@@ -292,9 +291,8 @@ def test_every_naturally_labelled_poset_up_to_6_faces():
 
 
 def test_every_naturally_labelled_poset_with_7_faces():
-    # the join laws for PCMs (``Views.pcm``) and for smooth PCMs (condition
-    # (C)) against the walks that test each neighborhood whole, on every
-    # view of at most 7 faces
+    # the law for PCMs and condition (C) for smooth PCMs against the walks
+    # that test each neighborhood whole, on every view of at most 7 faces
     verdicts = Counter()
     for covers in naturally_labelled_covers(7):
         p = Poset(covers)
@@ -303,53 +301,6 @@ def test_every_naturally_labelled_poset_with_7_faces():
         assert sv == oracles.smooth_pcm_by_walk(p), covers
         verdicts["smooth" if sv.holds else "pcm" if pv.holds else "neither"] += 1
     assert verdicts == {"smooth": 324, "pcm": 616, "neither": 95_488}
-
-
-def _interval_keys(p: Poset) -> set[int]:
-    """The full poset, each alpha(h) and beta(h), and each open interval
-    beta(a) & alpha(b) of two comparable faces a < b."""
-    keys = {p.full_mask, *p.alpha_masks, *p.beta_masks}
-    for below in p.alpha_masks:
-        keys.update(p.beta_masks[a] & below for a in iter_bits(below))
-    return keys
-
-
-def test_pcm_walk_visits_only_intervals():
-    # from the full poset each border neighborhood splits into an alpha and
-    # a beta restriction, so every view the recursion stores is an interval,
-    # at most (comparable pairs) + 2n + 1 views per memo. The surface ranks
-    # of closures and openings are stored per face, in lists whose views are
-    # the alpha and beta table entries. The rank memo holds only the inner
-    # intervals whose PCM test runs and that no law ranks, which here only
-    # the chain has. Connectivity is decided by the overlaps of an
-    # interval's pieces and has no memo.
-    instances = {
-        "simplex 6": solid_simplex(6).face_poset(),
-        "khalimsky 7x5": khalimsky_block(7, 5),
-        "chain 30": chain_poset(30),
-        "pinched-box 6": pinched_box(6).face_poset(),
-        "disk 12": disk(12).face_poset(),
-    }
-    for name, p in instances.items():
-        assert is_pcm(p).holds, name
-        intervals = _interval_keys(p)
-        bound = sum(a.bit_count() for a in p.alpha_masks) + 2 * len(p) + 1
-        listed = {
-            mask
-            for memo, table in (("closure_surface", p.alpha_masks), ("opening_surface", p.beta_masks))
-            for rank, mask in zip(p.memo(memo), table)
-            if rank is not None
-        }
-        memos = {
-            "surface": listed | set(p.memo("surface")),
-            "view_rank": set(p.memo("view_rank")),
-            "border": set(p.memo("border")),
-            "pcm": set(p.memo("pcm")),
-        }
-        for memo, keys in memos.items():
-            assert keys or (memo == "view_rank" and name != "chain 30"), (name, memo)
-            assert keys <= intervals, (name, memo)
-            assert len(keys) <= bound, (name, memo)
 
 
 def test_cone_over_a_path_needs_condition_C():

@@ -31,17 +31,15 @@ def test_recursive_sphere2():
 
 
 def test_recursive_sphere7_decides_neighborhoods_by_their_factors():
-    # a count, not a timing: the surface recursion memoizes the join factors
-    # of the strict neighborhoods, which on sphere 7 (510 faces) are under
-    # 20,000 views; the whole neighborhoods are about 1.7 million. Closures
-    # and openings are stored in the per-face lists, the rest by mask.
+    # the law decides each neighborhood by its two factors' intervals, in one
+    # pass over sphere 7 (510 faces) that stores no interval: the poset's one
+    # memo is the pass, where testing the whole neighborhoods would visit
+    # about 1.7 million views
     k = sphere(7)
     recursive, fast = classify_recursive(k), classify_fast(k)
     assert recursive.category == "surface"
     assert all(getattr(recursive, name) == getattr(fast, name) for name in VERDICT_FIELDS)
-    p = k.face_poset()
-    listed = [r for name in ("closure_surface", "opening_surface") for r in p.memo(name) if r is not None]
-    assert len(p.memo("surface")) + len(listed) < 20_000
+    assert set(k.face_poset()._memo) == {"law"}
 
 
 def test_recursive_disk():
@@ -73,9 +71,7 @@ def test_fast_sphere4_without_full_recursion():
     k = sphere(4)
     c = classify_fast(k)
     assert c.category == "surface" and c.rank == 4
-    poset = k.face_poset()
-    surface_memo = poset.memo("surface")
-    assert poset.full_mask not in surface_memo
+    assert "law" not in k.face_poset()._memo
 
 
 def test_fast_pinched_box():
@@ -87,7 +83,7 @@ def test_fast_pinched_box():
 
 def test_fast_path_builds_no_face_poset(monkeypatch):
     import posurf.classify as classify_mod
-    from posurf.surfaces import Views
+    from posurf.surfaces import Law
 
     box_input, rim_input = pinched_box(6), disk(6)
     low = {
@@ -109,7 +105,7 @@ def test_fast_path_builds_no_face_poset(monkeypatch):
 
     monkeypatch.setattr(SimplicialComplex, "face_poset", refuse)
     monkeypatch.setattr(SimplicialComplex, "__init__", refuse_complex)
-    monkeypatch.setattr(Views, "__init__", refuse)
+    monkeypatch.setattr(Law, "__init__", refuse)
     monkeypatch.setattr(classify_mod, "classify_recursive", refuse)
     box = classify_fast(box_input)
     assert (box.category, box.rank, box.is_smooth_pcm, box.border_empty) == ("pcm", 3, False, False)

@@ -234,8 +234,8 @@ def test_recursive_mode_refuses_an_oversized_face_poset(capsys, monkeypatch):
 
 
 def test_recursive_mode_refuses_a_poset_too_deep_for_the_recursion(capsys, monkeypatch):
-    # a 600-face chain has rank 599; the recursion would nest past Python's
-    # frame limit, so it is refused with one line instead of a RecursionError
+    # a 600-face chain has rank 599, above MAX_RANK: it is refused with one
+    # line before the pass checks its 180,000 intervals
     chain = "".join(f"f {i} : {i - 1 if i else ''}\n" for i in range(600))
     code, out, err = run_cli(
         ["classify", "--format", "hasse", "--mode", "recursive", "-"],
@@ -245,7 +245,7 @@ def test_recursive_mode_refuses_a_poset_too_deep_for_the_recursion(capsys, monke
     )
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("posurf: error:")
-    assert "rank 599 would nest the recursion 599 views deep" in err
+    assert "rank 599 is above the rank limit of 256" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -12,6 +12,7 @@ from posurf import (
     Poset,
     border,
     classify_recursive,
+    disk,
     is_coherent,
     is_k_surface,
     is_pcm,
@@ -24,8 +25,8 @@ from posurf import (
     sphere,
     theta_view,
 )
-from posurf.poset import iter_bits, view_rank
-from posurf.surfaces import MAX_RANK, Views, border_mask_of
+from posurf.poset import SuborderView, iter_bits
+from posurf.surfaces import MAX_RANK, NEITHER, PCM, SURFACE, _joined, border_mask_of, law_of
 
 from .conftest import antichain_poset, chain_poset, warm_and_fresh
 from . import oracles
@@ -96,7 +97,6 @@ def test_random_posets_match_brute_oracles():
     import random
 
     from posurf.poset import SuborderView, iter_bits
-    from posurf.surfaces import NOT_HELD
 
     def check_rank_law(p, mask):
         # rank V = 1 + max rank(theta(h) & V), and a surface's rank is its view's
@@ -104,12 +104,12 @@ def test_random_posets_match_brute_oracles():
         if mask:
             sub = max(views.rank(p.theta_masks[h] & mask) for h in iter_bits(mask))
             assert views.rank(mask) == 1 + sub, (p.cover_lists, mask)
-        assert views.surface(mask) in (NOT_HELD, views.rank(mask)), (p.cover_lists, mask)
+        assert views.surface(mask) in (oracles.NOT_HELD, views.rank(mask)), (p.cover_lists, mask)
 
     def check_smooth_and_border(p, mask):
-        # the smooth test reads (C) off the border that the PCM walk stores,
-        # and the border after a PCM walk must match a fresh one; both
-        # against definitions that share neither
+        # the smooth test reads (C) off the border that the pass caches,
+        # and the reference border after a PCM walk must match a fresh one;
+        # both against definitions that share neither
         covers = p.cover_lists
         members = list(iter_bits(mask))
         try:
@@ -160,25 +160,26 @@ def test_warm_and_fresh_memos_agree_on_surfaces(posets, complexes):
 
 
 def test_every_recognizer_fills_its_memos():
-    # the border scan fills the per-face lists of closures and openings;
-    # the whole poset goes, under its mask, into the others. The
-    # rank memo holds the inner intervals that no law ranks: a surface's
-    # walk stops at its empty border and has none, a chain's PCM walk some.
-    p = sphere(2).face_poset()
-    for recognizer in (is_k_surface, border, is_pcm, is_smooth_pcm):
-        recognizer(p)
-    assert is_k_surface(p).rank == 2
-    for name in ("closure_surface", "opening_surface"):
-        assert None not in p.memo(name), name
-    assert all(p.memo(name) for name in ("surface", "border", "pcm"))
+    # every recognizer reads one pass of the law, cached on the poset, and
+    # stores no interval; a PCM's border is built as its own poset once, for
+    # condition (C), and cached under its mask
+    for p, category in ((sphere(2).face_poset(), "surface"), (disk(4).face_poset(), "pcm")):
+        for recognizer in (is_k_surface, border, is_pcm, is_smooth_pcm):
+            recognizer(p)
+        assert classify_recursive(p).category == category
+        assert p.memo("law") is law_of(p)[1]
+        assert set(p._memo) == ({"law"} if category == "surface" else {"law", "to_poset"})
+    # a chain is all border, so (C) runs on the chain itself
     chain = chain_poset(6)
-    assert is_pcm(chain).rank == 5 and chain.memo("view_rank")
+    assert not is_smooth_pcm(chain).holds and set(chain._memo) == {"law"}
+    law = chain.memo("law")
+    assert law.closures == [SURFACE] + [PCM] * 5 and law.openings == [PCM] * 5 + [SURFACE]
 
 
-def test_views_a_bit_test_decides_are_never_stored():
-    # surface views of at most two faces and PCM views of at most one are
-    # decided before the memo is read; on a khalimsky block they are most
-    # of the surface views, and storing them more than tripled the traced peak
+def test_recursive_classification_stores_no_interval():
+    # the pass keeps per-face lists, no interval memo: on a khalimsky block
+    # the traced peak stays under a megabyte, where storing the intervals
+    # that a bit test decides more than tripled it
     p = khalimsky_block(24, 24)
     tracemalloc.start()
     try:
@@ -187,32 +188,120 @@ def test_views_a_bit_test_decides_are_never_stored():
     finally:
         tracemalloc.stop()
     assert c.category == "pcm" and c.is_smooth_pcm
-    assert p.memo("surface") and all(m.bit_count() >= 3 for m in p.memo("surface"))
-    assert p.memo("pcm") and all(m.bit_count() >= 2 for m in p.memo("pcm"))
+    assert set(p._memo) == {"law", "to_poset"}
     assert peak < 1_000_000
 
 
+def _reference_kind(views: oracles.MaskViews, mask: int) -> int:
+    """The kind of a view by the recursion over member masks."""
+    if views.surface(mask) != oracles.NOT_HELD:
+        return SURFACE
+    return PCM if views.pcm(mask) != oracles.NOT_HELD else NEITHER
+
+
 def test_closure_and_opening_ranks_live_in_the_per_face_lists():
-    # the surface rank of each face's closure and opening is stored in a
-    # per-face list, not under the mask, and agrees with the recursion over
-    # masks on a fresh poset. The lists start with the faces of rank
-    # (co-rank) 0 or 1, whose closure (opening) a law decides; the border
-    # scan fills in the rest.
+    # the kind of each face's closure and opening (a surface, a PCM that is
+    # not one, or neither) is kept in two per-face lists of the pass, and
+    # agrees with the recursion over masks on a fresh poset
     for p, category in ((khalimsky_block(12, 12), "pcm"), (sphere(3).face_poset(), "surface")):
-        fresh = Views(Poset(p.cover_lists))
-        assert [h for h, r in enumerate(fresh.closures) if r is None] == [
-            h for h, r in enumerate(p.face_ranks) if r >= 2
-        ]
-        assert [h for h, r in enumerate(fresh.openings) if r is None] == [
-            h for h, r in enumerate(p.co_ranks) if r >= 2
-        ]
         assert classify_recursive(p).category == category
-        closures, openings = p.memo("closure_surface"), p.memo("opening_surface")
+        law = law_of(p)[1]
         reference = oracles.MaskViews(Poset(p.cover_lists))
-        for h in range(len(p)):
-            assert closures[h] == reference.surface(p.alpha_masks[h]), h
-            assert openings[h] == reference.surface(p.beta_masks[h]), h
-        assert not set(p.memo("surface")) & set(p.alpha_masks + p.beta_masks)
+        assert law.closures == [_reference_kind(reference, m) for m in p.alpha_masks]
+        assert law.openings == [_reference_kind(reference, m) for m in p.beta_masks]
+
+
+def _check_law(p: Poset, mask: int) -> Counter:
+    """The pass on the view ``mask`` of ``p``, built as its own poset, against
+    the recursion over member masks of ``p`` (``MaskViews``): the kind of each
+    face's closure and opening, the whole verdicts and the border; on at most
+    nine faces, against the brute oracles too. Counts what it saw."""
+    view = SuborderView(p, mask)
+    q, law = law_of(view)
+    ids = view.members
+    reference = oracles.MaskViews(p)
+    closures = [_reference_kind(reference, p.alpha_masks[h] & mask) for h in ids]
+    openings = [_reference_kind(reference, p.beta_masks[h] & mask) for h in ids]
+    assert law.closures == closures, (p.cover_lists, mask)
+    assert law.openings == openings, (p.cover_lists, mask)
+    ranks = (reference.surface(mask), reference.pcm(mask))
+    surface, pcm = (None if r == oracles.NOT_HELD else r for r in ranks)
+    assert (is_k_surface(view).rank, is_pcm(view).rank) == (surface, pcm), (p.cover_lists, mask)
+    kind = SURFACE if surface is not None else PCM if pcm is not None else NEITHER
+    seen = Counter([("closure", k) for k in closures] + [("opening", k) for k in openings])
+    seen["whole", kind] += 1
+    if q.rank() >= 0:
+        bmask = border_mask_of(view)
+        assert bmask == reference.border(mask), (p.cover_lists, mask)
+        if kind == PCM:
+            # PCMs with a border face above a lone interval, and with one below
+            on = [bmask >> h & 1 for h in ids]
+            seen["border", "closure side"] += any(b and k == PCM for b, k in zip(on, closures))
+            seen["border", "opening side"] += any(b and k != PCM for b, k in zip(on, closures))
+    if len(ids) <= 9:
+        covers, members = p.cover_lists, list(ids)
+        sv, pv = is_k_surface(view), is_pcm(view)
+        assert (sv.holds, sv.rank) == oracles.brute_is_surface(covers, members), (covers, mask)
+        assert (pv.holds, pv.rank) == oracles.brute_is_pcm(covers, members), (covers, mask)
+        if q.rank() >= 0:
+            want = oracles.brute_border(covers, members)
+            assert set(iter_bits(border_mask_of(view))) == want, (covers, mask)
+    return seen
+
+
+def _random_dag(rng, n: int, graded: bool) -> Poset:
+    """n faces, each covering up to three earlier ones; if ``graded``, faces
+    are dealt into ranks and cover one to three faces of the rank below."""
+    if not graded:
+        return Poset([sorted(rng.sample(range(h), rng.randint(0, min(3, h)))) for h in range(n)])
+    levels: list[list[int]] = []
+    covers = []
+    for h in range(n):
+        r = rng.randrange(len(levels) + 1) if levels else 0
+        r = max(r, len(levels) - 1) if rng.random() < 0.5 else r
+        if r == len(levels):
+            levels.append([])
+        below = levels[r - 1] if r else []
+        covers.append(sorted(rng.sample(below, min(len(below), rng.randint(1, 3)))) if r else [])
+        levels[r].append(h)
+    return Poset(covers)
+
+
+def test_the_law_against_the_reference_recursion():
+    # the pass and its dual against the recursion over member masks, on
+    # random DAGs of up to 40 faces (half of them graded), on the face posets
+    # of random pure complexes and on random views of face posets: closures,
+    # neighborhoods and random subsets
+    import random
+
+    from posurf import annulus, pinched_box, random_pure_complex
+
+    rng = random.Random(26)
+    seen = Counter()
+    for i in range(500):
+        p = _random_dag(rng, rng.randint(1, 40), graded=i % 2 == 1)
+        seen += _check_law(p, p.full_mask)
+    for i in range(120):
+        dim = rng.choice((1, 2, 3))
+        k = random_pure_complex(dim, rng.randint(dim + 2, dim + 6), rng.randint(2, 9), i)
+        p = k.face_poset()
+        if len(p) <= 60:
+            seen += _check_law(p, p.full_mask)
+    ambients = [
+        sphere(3).face_poset(), disk(6).face_poset(), annulus(6).face_poset(),
+        pinched_box(4).face_poset(), solid_simplex(4).face_poset(), khalimsky_block(6, 6),
+    ]  # fmt: skip
+    for p in ambients:
+        for _ in range(40):
+            h = rng.randrange(len(p))
+            drop = 0
+            for x in rng.sample(range(len(p)), rng.randint(0, 3)):
+                drop |= 1 << x
+            for mask in (p.alpha_masks[h], p.beta_masks[h], p.theta_masks[h], p.full_mask & ~drop):
+                seen += _check_law(p, mask)
+    for part in ("closure", "opening", "whole"):
+        assert min(seen[part, k] for k in (NEITHER, PCM, SURFACE)) >= 30, seen
+    assert min(seen["border", side] for side in ("closure side", "opening side")) >= 30, seen
 
 
 def _comparable_pairs(p: Poset):
@@ -228,60 +317,63 @@ def _comparable_pairs(p: Poset):
 
 
 def test_interval_laws_against_brute_oracles():
-    # each law that decides an interval from face ranks, co-ranks and cover
-    # lists, on every comparable pair: d == 1 gives an empty interval, d == 2
-    # the antichain of faces that cover lo and are covered by hi, the overlaps
-    # of the pieces give connectivity, the covers of hi give the rank
+    # the laws the pass decides intervals by, on every comparable pair of
+    # graded and ungraded posets: (lo, hi) is connected iff the faces that
+    # cover lo inside it, each with the mask of the covers of hi above it,
+    # join up by overlaps (the openings (lo, n) by the openings of the faces
+    # that cover lo), and on a graded poset an interval whose ends differ by
+    # two in rank is the antichain of the faces between them
     import random
 
     rng = random.Random(25)
     posets = [khalimsky_block(7, 5), solid_simplex(6).face_poset()]
-    for _ in range(120):
-        n = rng.randint(1, 12)
-        posets.append(Poset([sorted(rng.sample(range(h), rng.randint(0, min(3, h)))) for h in range(n)]))
+    for i in range(120):
+        posets.append(_random_dag(rng, rng.randint(1, 12), graded=i % 2 == 1))
     seen = Counter()
     for p in posets:
-        covers = p.cover_lists
+        covers, n = p.cover_lists, len(p)
         below = oracles.strict_below(covers)
-        assert list(p.co_ranks) == oracles.brute_co_ranks(covers), covers
-        views = Views(p)
-        faces = set(range(len(p)))
+        graded = is_coherent(p)
         for lo, hi in _comparable_pairs(p):
-            mask = views.members(lo, hi)
-            members = set(iter_bits(mask))
-            under = below[hi] if hi < len(p) else faces
-            assert members == {x for x in under if lo < 0 or lo in below[x]}, (covers, lo, hi)
-            d = views.bound(lo, hi)
-            seen[min(d, 3)] += 1
-            if d <= 1:
-                assert not members, (covers, lo, hi)
-            elif d == 2:
-                both = set(views.up[lo]) & set(views.down[hi])
-                assert members == both, (covers, lo, hi)
-                assert not any(below[x] & members for x in members), (covers, lo, hi)
-                assert views.antichain(lo, hi) == len(members), (covers, lo, hi)
-            if members:
-                components = oracles.brute_components(covers, members, below)
-                assert views.connected(lo, hi) == (len(components) == 1), (covers, lo, hi)
-            assert views.rank(lo, hi) == view_rank(p, mask), (covers, lo, hi)
-    assert min(seen.values()) > 100, seen
+            under = below[hi] if hi < n else set(range(n))
+            members = {x for x in under if lo < 0 or lo in below[x]}
+            if not members:
+                continue
+            lowest = [x for x in members if not below[x] & members]
+            if hi < n:
+                tops = [c for c in covers[hi] if c in members]
+                sig = {x: sum(1 << i for i, c in enumerate(tops) if x in below[c] | {c}) for x in members}
+                parts = [sig[w] for w in lowest]
+            elif lo >= 0:
+                parts = [p.beta_masks[c] | 1 << c for c in p.up_cover_lists[lo]]
+            else:
+                continue
+            components = oracles.brute_components(covers, members, below)
+            assert _joined(parts) == (len(components) == 1), (covers, lo, hi)
+            fr = p.face_ranks + (p.rank() + 1, -1)
+            d = fr[hi] - fr[lo]
+            seen[graded, len(components) == 1, min(d, 3)] += 1
+            if graded and d == 2:
+                assert members == set(lowest) == {x for x in members if fr[x] == fr[hi] - 1}
+    assert min(seen.values()) > 20, seen
 
 
 def test_a_poset_too_deep_for_the_recursion_is_refused():
-    # each rank nests about one frame; a chain of MAX_RANK + 1 faces is
-    # taken, one face more is refused before any view is evaluated
+    # the pass checks about n^2 / 2 intervals on a chain of n faces; a chain
+    # of MAX_RANK + 1 faces is taken, one face more is refused before any
+    # interval is checked
     deepest = chain_poset(MAX_RANK + 1)
     assert not is_k_surface(deepest).holds
     assert border_mask_of(deepest) == deepest.full_mask
     too_deep = chain_poset(MAX_RANK + 2)
-    # coherence is decided from face ranks, with no recursion
+    # coherence is decided from face ranks, with no pass
     assert is_coherent(too_deep)
     recognizers = (is_k_surface, border_mask_of, border, is_pcm, is_smooth_pcm)
     for recognizer in recognizers + (classify_recursive,):
-        with pytest.raises(DomainError, match=f"rank {MAX_RANK + 1} would nest"):
+        with pytest.raises(DomainError, match=f"rank {MAX_RANK + 1} is above the rank limit"):
             recognizer(too_deep)
-    # the bound is on the view the recursion starts from, which it never
-    # leaves: a 3-face view of that chain is decided as its own poset is
+    # the bound is on the view the pass runs on: a 3-face view of that chain
+    # is decided as its own poset is
     view = restrict(too_deep, [0, 1, 2])
     alone = view.to_poset()
     assert is_pcm(view).rank == 2
@@ -292,18 +384,17 @@ def test_a_poset_too_deep_for_the_recursion_is_refused():
     )
 
 
-def test_pcm_walk_nests_about_two_frames_per_rank():
-    # the factor test sits in the one loop of Views.pcm; a chain of rank r
-    # then nests about r frames and some, within the 2r set here, so
-    # MAX_RANK fits Python's default limit
-    p = chain_poset(64)
+def test_the_pass_does_not_recurse():
+    # every recognizer on the deepest chain admitted, with 20 frames to spare
+    p = chain_poset(MAX_RANK + 1)
     depth, frame = 0, sys._getframe()
     while frame:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 2 * p.rank() + 8)
+    sys.setrecursionlimit(depth + 20)
     try:
-        assert is_pcm(p).rank == 63
+        assert is_pcm(p).rank == MAX_RANK
+        assert not is_smooth_pcm(p).holds and border_mask_of(p) == p.full_mask
     finally:
         sys.setrecursionlimit(limit)
 
