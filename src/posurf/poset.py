@@ -278,20 +278,19 @@ class SuborderView:
 
         New ids follow ascending ambient ids (``members[i]`` becomes ``i``);
         labels are carried over. Covering is recomputed for the induced
-        order, which in general differs from the ambient covering. The
-        members are visited by ambient rank. A walk down the ambient covers
-        of a member through non-members only meets each member it covers in
-        the view, as no member lies between them; the members met below a
-        non-member are found once, as a mask over the view's ids. A member met
-        past a non-member may lie below another one met, and is dropped.
+        order, which in general differs from the ambient covering. A walk
+        down the ambient covers of a member through non-members meets each
+        member it covers in the view, as no member lies between them; the
+        members met below a non-member are found once, as a mask over the
+        view's ids. A member met past a non-member may lie below another one
+        met; ``Poset`` drops such a cover.
         """
         members = self.members
         pos = {h: i for i, h in enumerate(members)}
         down = self.ambient.cover_lists
         met: dict[int, int] = {}
-        below = [0] * len(members)
-        covers: list[list[int]] = [[] for _ in members]
-        for h in sorted(members, key=self.ambient.face_ranks.__getitem__):
+        covers: list[list[int]] = []
+        for h in members:
             mask = 0
             for c in down[h]:
                 i = pos.get(c)
@@ -315,17 +314,7 @@ class SuborderView:
                     met[x] = m
                     todo.pop()
                 mask |= met[c]
-            # the members below those met, from the highest id down, skipping
-            # each one already below
-            under = 0
-            rest = mask
-            while rest:
-                i = rest.bit_length() - 1
-                under |= below[i]
-                rest &= ~(under | 1 << i)
-            mask &= ~under
-            below[pos[h]] = mask | under
-            covers[pos[h]] = list(iter_bits(mask))
+            covers.append(list(iter_bits(mask)))
         labels = [self.ambient._labels[h] for h in members]
         return Poset(covers, labels)
 

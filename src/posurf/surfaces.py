@@ -228,21 +228,20 @@ def _closures(ranks, down, up) -> tuple[list[int], list[int]]:
     return kinds, lows
 
 
-# Byte translations: a kind to 1 for PCM and 0 else, and a flag to the
-# digit "1" when it is nonzero and "0" else.
-_LONE = bytes.maketrans(bytes([NEITHER, PCM, SURFACE]), bytes([0, 1, 0]))
-_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
-
-
-def _mask(flags: bytearray) -> int:
-    """The bit mask of the positions of the nonzero flags."""
-    return int(flags[::-1].translate(_DIGITS), 2) if flags else 0
+def _mask(flags) -> int:
+    """The bit mask of the positions of the true flags."""
+    mask = 0
+    for h, flag in enumerate(flags):
+        if flag:
+            mask |= 1 << h
+    return mask
 
 
 class Law:
     """One pass of the law over a whole poset, built once per poset (``law_of``).
 
-    ``closures[h]`` is the kind of face h's extended closure; the kind of
+    ``closures[h]`` is the kind of face h's extended closure and ``lows``
+    holds the y of each lone interval (y, z), z a face; the kind of
     the whole poset, the openings and the border are found on first use.
     It keeps the poset's rank and tables, not the poset, which holds it: so
     a poset is freed as soon as it is dropped.
@@ -253,34 +252,39 @@ class Law:
         self.face_ranks, self.co_ranks = poset.face_ranks, poset.co_ranks
         self.down, self.up = poset.cover_lists, poset.up_cover_lists
         self.beta = poset.beta_masks
-        self.closures, self._lows = _closures(self.face_ranks, self.down, self.up)
+        self.closures, self.lows = _closures(self.face_ranks, self.down, self.up)
 
     @cached_property
-    def kind(self) -> int:
-        """The kind of the whole poset: its closures, then its openings (y, n)
-        and (-1, n)."""
+    def whole(self) -> tuple[int, list[int]]:
+        """The kind of the whole poset, by its closures, then its openings
+        (y, n) and (-1, n); and the y of each lone (y, n) met."""
         fr, up, beta, top = self.face_ranks, self.up, self.beta, self.rank
         n = len(fr)
         kind = min(self.closures, default=SURFACE)
         if kind == NEITHER:
-            return NEITHER
+            return NEITHER, []
+        lone = []
         for y in range(n):
             d = top + 1 - fr[y]
             if d == 2:
                 m = len(up[y])
                 if m > 2:
-                    return NEITHER
+                    return NEITHER, []
                 if m == 1:
                     kind = PCM
-                    self._lows.append(y)
+                    lone.append(y)
             elif d >= 3 and len(up[y]) > 1 and not _joined([beta[c] for c in up[y]]):
-                return NEITHER
+                return NEITHER, []
         if top == 0:
             # (-1, n) has d = 2: the faces
-            return NEITHER if n > 2 else PCM if n == 1 else SURFACE
-        if top >= 1 and not _cover_graph_connected(self.down, up):
-            return NEITHER
-        return kind
+            kind = NEITHER if n > 2 else PCM if n == 1 else SURFACE
+        elif top >= 1 and not _cover_graph_connected(self.down, up):
+            kind = NEITHER
+        return kind, lone
+
+    @property
+    def kind(self) -> int:
+        return self.whole[0]
 
     @cached_property
     def openings(self) -> list[int]:
@@ -299,24 +303,27 @@ class Law:
         other poset of rank >= 0 by the closures and openings."""
         if self.rank < 0:
             raise DomainError("the border is undefined on the empty order")
-        if self.kind == SURFACE:
+        kind, lone = self.whole
+        if kind == SURFACE:
             return 0
-        if self.kind == PCM:
-            # above the z of a lone (y, z), a PCM closure, or below its y:
-            # flag 1 and flag 2, which also marks the faces walked
-            on = bytearray(self.closures).translate(_LONE)
-            todo = list(self._lows)
+        if kind == PCM:
+            # above the z of a lone (y, z), a PCM closure, or below its y,
+            # z a face or the top sentinel
+            mask = _mask(k == PCM for k in self.closures)
+            walked = [False] * len(self.closures)
+            todo = self.lows + lone
             while todo:
                 y = todo.pop()
-                if on[y] != 2:
-                    on[y] = 2
+                if not walked[y]:
+                    walked[y] = True
+                    mask |= 1 << y
                     todo += self.down[y]
-            return _mask(on)
+            return mask
         fr, cr = self.face_ranks, self.co_ranks
-        return _mask(bytearray(
+        return _mask(
             not (a == SURFACE == b and fr[h] + cr[h] == self.rank)
             for h, (a, b) in enumerate(zip(self.closures, self.openings))
-        ))
+        )
 
 
 def _cover_graph_connected(down, up) -> bool:

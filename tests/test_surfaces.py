@@ -325,14 +325,21 @@ def test_interval_laws_against_brute_oracles():
     # two in rank is the antichain of the faces between them
     import random
 
+    from posurf import random_pure_complex
+
     rng = random.Random(25)
     posets = [khalimsky_block(7, 5), solid_simplex(6).face_poset()]
-    for i in range(120):
-        posets.append(_random_dag(rng, rng.randint(1, 12), graded=i % 2 == 1))
+    for i in range(240):
+        posets.append(_random_dag(rng, rng.randint(1, 12), graded=i % 3 == 1))
+    for i in range(100):
+        # graded, with a disconnected opening at each pinched vertex
+        k = random_pure_complex(2, rng.randint(6, 9), rng.randint(4, 9), i, glue_bias=0.5)
+        posets.append(k.face_poset())
     seen = Counter()
     for p in posets:
         covers, n = p.cover_lists, len(p)
         below = oracles.strict_below(covers)
+        assert list(p.co_ranks) == oracles.brute_co_ranks(covers), covers
         graded = is_coherent(p)
         for lo, hi in _comparable_pairs(p):
             under = below[hi] if hi < n else set(range(n))
@@ -355,7 +362,8 @@ def test_interval_laws_against_brute_oracles():
             seen[graded, len(components) == 1, min(d, 3)] += 1
             if graded and d == 2:
                 assert members == set(lowest) == {x for x in members if fr[x] == fr[hi] - 1}
-    assert min(seen.values()) > 20, seen
+    # every bucket (graded, connected, d == 2 or d >= 3) met over 100 times
+    assert len(seen) == 8 and min(seen.values()) > 100, seen
 
 
 def test_a_poset_too_deep_for_the_recursion_is_refused():
