@@ -1,15 +1,18 @@
 """Finite partially ordered sets stored by their covering (Hasse) relation.
 
-Faces are dense integer ids ``0..n-1``. The full strict order is derived
-from the covering relation once, as two per-face bitmask tables stored on
-the poset:
+Faces are dense integer ids ``0..n-1``. A poset keeps, per face, its
+covers and the faces covering it, its rank and its co-rank: the
+recognizers read nothing else. The full strict order is derived from the
+covering relation only on first read, as per-face bitmask tables:
 
 * ``alpha_masks[h]``  faces strictly below ``h`` (combinatorial closure)
 * ``beta_masks[h]``   faces strictly above ``h`` (combinatorial opening)
+* ``theta_masks[h]``  their union, the strict neighborhood theta(h)
 
-The strict neighborhood theta(h) is their union. The library derives it
-for just the faces it reads (``theta_mask``); the table ``theta_masks``
-is built only when something reads it.
+They grow quadratically in the face count, and only the operator algebra
+reads them: ``local_sets``, ``theta_view``, the ranks of views that are
+not a whole poset (``view_levels``), components (``component_masks``,
+also for the components ``border`` lists) and separated unions.
 
 A suborder is a :class:`SuborderView`: the ambient poset plus a member
 bitmask. The recognizers run one pass over a whole poset, and build any
@@ -47,10 +50,13 @@ __all__ = [
 ]
 
 
-# Upper bound on the faces of a poset, checked before any bitmask is built.
-# The two strict-order bitmask tables grow quadratically in the face
-# count: on annulus face posets about 1.4 MB at 3.2k faces, 32 MB at 16k
-# and over 500 MB at 64k.
+# Upper bound on the faces of a poset, checked before any cover list is
+# read, and by ``from_hasse`` at the face record past it, so parsing stops
+# there. It bounds the strict-order tables built on first read (and the
+# closures the constructor builds to prune covers), which grow
+# quadratically in the face count: on annulus face posets ``alpha_masks``
+# and ``beta_masks`` take about 1.4 MB at 3.2k faces, 32 MB at 16k and
+# over 500 MB at 64k.
 MAX_POSET_FACES = 1 << 14
 
 
@@ -92,6 +98,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _strict_below(down: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
+    """Mask of the faces strictly below each face of ``order`` by the covers
+    ``down``, 0 for a face not in it; ``order`` lists each face after its
+    covers."""
+    below = [0] * len(down)
+    for h in order:
+        m = 0
+        for c in down[h]:
+            m |= below[c] | 1 << c
+        below[h] = m
+    return below
+
+
 class Poset:
     """Immutable finite poset given by its covering relation.
 
@@ -100,10 +119,14 @@ class Poset:
     another listed face of the same list is dropped. Construction rejects
     cyclic input, so the closure is always a strict partial order. It
     also rejects more than ``MAX_POSET_FACES`` faces, before it reads any
-    cover list. Besides the two bitmask tables it keeps, per face, the
-    faces that cover it (``up_cover_lists``), its rank (``face_ranks``, the
-    longest chain below it) and its co-rank (``co_ranks``, the longest
-    chain above it).
+    cover list. It keeps, per face, the faces that cover it
+    (``up_cover_lists``), its rank (``face_ranks``, the longest chain
+    below it) and its co-rank (``co_ranks``, the longest chain above it),
+    and builds no n-bit table: a listed cover can lie below another only
+    when the covers of a face differ in rank, and only for such a face
+    are closures built, to prune its covers, and then dropped. The
+    strict-order tables are built on first read (``alpha_masks``,
+    ``beta_masks``, ``theta_masks``).
     """
 
     def __init__(self, covers: Sequence[Iterable[int]], labels: Sequence[str | None] | None = None):
@@ -130,41 +153,28 @@ class Poset:
         self._n = n
         self.full_mask = (1 << n) - 1
 
-        # One topological pass over the cover DAG gives closures, ranks,
-        # the acyclicity check, and drops each listed cover below another;
-        # it has a lower rank, so only a face whose covers differ in rank
-        # can list one.
+        # One topological pass over the cover DAG gives ranks and the
+        # acyclicity check. A listed cover below another has a lower rank,
+        # so only a face whose covers differ in rank can list one.
         up: list[list[int]] = [[] for _ in range(n)]
         indeg = [len(cs) for cs in cover_lists]
         for h, cs in enumerate(cover_lists):
             for c in cs:
                 up[c].append(h)
         order = [h for h in range(n) if indeg[h] == 0]
-        alpha = [0] * n
         ranks = [0] * n
-        qi = 0
-        while qi < len(order):
-            h = order[qi]
-            qi += 1
-            a = 0
+        uneven = []
+        for h in order:
             r = 0
             low = n
             for c in cover_lists[h]:
-                a |= alpha[c] | (1 << c)
                 rc = ranks[c]
                 if rc >= r:
                     r = rc + 1
                 if rc < low:
                     low = rc
             if low < r - 1:
-                below = 0
-                for c in cover_lists[h]:
-                    below |= alpha[c]
-                for c in cover_lists[h]:
-                    if below >> c & 1:
-                        up[c].remove(h)
-                cover_lists[h] = tuple(c for c in cover_lists[h] if not below >> c & 1)
-            alpha[h] = a
+                uneven.append(h)
             ranks[h] = r
             for g in up[h]:
                 indeg[g] -= 1
@@ -172,25 +182,31 @@ class Poset:
                     order.append(g)
         if len(order) != n:
             raise DomainError("covering relation is cyclic")
-        # the reverse pass gives openings and co-ranks, the longest chain
-        # above each face
-        beta = [0] * n
+        if uneven:
+            # closures of the faces up to the uneven faces' covers, built
+            # only to prune those covers; a redundant cover changes no rank
+            top = max(ranks[h] for h in uneven)
+            alpha = _strict_below(cover_lists, [h for h in order if ranks[h] < top])
+            for h in uneven:
+                below = 0
+                for c in cover_lists[h]:
+                    below |= alpha[c]
+                for c in cover_lists[h]:
+                    if below >> c & 1:
+                        up[c].remove(h)
+                cover_lists[h] = tuple(c for c in cover_lists[h] if not below >> c & 1)
+        # the reverse pass gives co-ranks, the longest chain above each face
         co_ranks = [0] * n
         for h in reversed(order):
-            b = 0
             r = 0
             for g in up[h]:
-                b |= beta[g] | (1 << g)
                 rg = co_ranks[g]
                 if rg >= r:
                     r = rg + 1
-            beta[h] = b
             co_ranks[h] = r
 
         self._covers = tuple(cover_lists)
         self.up_cover_lists = tuple(map(tuple, up))
-        self.alpha_masks = tuple(alpha)
-        self.beta_masks = tuple(beta)
         self.face_ranks = tuple(ranks)
         self.co_ranks = tuple(co_ranks)
         self._rank = max(ranks) if n else -1
@@ -227,12 +243,22 @@ class Poset:
             raise DomainError(f"unknown face id {h!r}")
 
     @cached_property
-    def theta_masks(self) -> tuple[int, ...]:
-        """``theta_mask`` of every face, as a table built on first read.
+    def alpha_masks(self) -> tuple[int, ...]:
+        """The faces strictly below each face (its closure), as a table of
+        n-bit masks built on first read."""
+        order = sorted(range(self._n), key=self.face_ranks.__getitem__)
+        return tuple(_strict_below(self._covers, order))
 
-        No recognizer reads it: it is a third quadratic table, and each
-        reader of a strict neighborhood derives just the faces it needs.
-        """
+    @cached_property
+    def beta_masks(self) -> tuple[int, ...]:
+        """The faces strictly above each face (its opening), as a table of
+        n-bit masks built on first read."""
+        order = sorted(range(self._n), key=self.co_ranks.__getitem__)
+        return tuple(_strict_below(self.up_cover_lists, order))
+
+    @cached_property
+    def theta_masks(self) -> tuple[int, ...]:
+        """``theta_mask`` of every face, as a table built on first read."""
         return tuple(a | b for a, b in zip(self.alpha_masks, self.beta_masks))
 
     def memo(self, name: str, make=dict):
@@ -408,7 +434,7 @@ def is_coherent(obj: "Poset | SuborderView") -> bool:
     p = view.ambient if view.mask == view.ambient.full_mask else view.to_poset()
     ranks = p.face_ranks
     return all(
-        (r == p.rank() or p.beta_masks[h]) and all(ranks[c] == r - 1 for c in p.cover_lists[h])
+        (r == p.rank() or p.up_cover_lists[h]) and all(ranks[c] == r - 1 for c in p.cover_lists[h])
         for h, r in enumerate(ranks)
     )
 
@@ -517,7 +543,7 @@ def join(p: Poset, q: Poset) -> Poset:
     """
     np_ = len(p)
     covers: list[list[int]] = [list(p.covers(h)) for h in range(np_)]
-    p_max = [h for h in range(np_) if p.beta_masks[h] == 0]
+    p_max = [h for h in range(np_) if not p.up_cover_lists[h]]
     for h in range(len(q)):
         cs = [c + np_ for c in q.covers(h)]
         if not cs and np_:

@@ -70,8 +70,9 @@ induction, a surface or PCM; Y likewise.
 
 With y = -1 and z = n this is the law, at d = R + 2.
 
-Connectivity. Let d >= 3 and z a face. Each face of (y, z) lies below a
-cover c of z inside it, so (y, z) is the union of the pieces (y, c], each
+Connectivity. Let d >= 3 and z a face or the top sentinel n, whose
+covers are the maximal faces. Each face of (y, z) lies below a cover c of
+z inside it, so (y, z) is the union of the pieces (y, c], each
 connected, as c is its top. If x < x' with x in the piece of c and x' in
 that of c', then x is in both: pieces are joined only by overlapping, and
 (y, z) is connected iff the overlap graph of its pieces is. Two pieces
@@ -79,24 +80,19 @@ that meet share a face covering y, as each face of (y, z) lies above one.
 So the pass numbers the covers of z and gives each face x below z the bit
 mask sig[x] of the covers above it: (y, z) is connected iff the masks
 sig[w] of the faces w covering y below z join up, by overlaps, into
-sig[y]. For y = -1 these w are the minimal faces below z. The pieces of
-an opening (y, n) are dually the [c, n) of the faces c covering y, and
-two meet iff the openings of their c do. The whole poset is connected
-iff its cover graph is. On a graded poset sig[y] holds the members of a
-d = 2 interval (y, z).
+sig[y]. For y = -1 these w are the minimal faces below z. On a graded
+poset sig[y] holds the members of a d = 2 interval (y, z).
 
 The pass (``_closures``) visits the faces bottom-up and decides each
 closure from its covers' closures and the intervals (y, z) below z, with
 no recursion and no memo. A face with a cover whose closure fails fails,
 as its closure holds that closure's intervals, and is skipped: on a
 poset whose faces of rank 1 have more than two covers the pass ends at
-rank 1. Then the openings (y, n) and the whole poset (``Law``). The pass
-tests the grading at each face's covers only. A maximal face m of rank
-below R >= 1 then fails a connectivity test: let T hold m and the faces
-below it. If P is connected, some face of T is covered by a face outside
-T; let x be a maximal one. Each face above a cover of x inside T lies in
-T, and none above a cover outside T does, so (x, n), with d >= 3, is not
-connected.
+rank 1. The pass tests the grading at each face's covers; ``Law`` then
+tests the rest of it, that each maximal face has rank R, and decides the
+openings (y, n) and the whole poset (-1, n) by one more walk, down from
+the top sentinel n: the d = 2 counts, the lone intervals (y, n) and the
+overlaps of the d >= 3 openings and of the minimal faces' masks.
 
 The border. A face x of a rank-R poset is on the border iff theta(x) =
 (-1, x) * (x, n) is not an (R-1)-surface: by the surface join law, iff
@@ -156,12 +152,12 @@ def _joined(parts: list[int]) -> bool:
     return not rest
 
 
-def _below(z: int, down, up, sig: list[int], lows: list[int]) -> int:
-    """The kind the intervals (y, z) with d >= 2 give the closure of a face z
-    of rank >= 2 whose covers' closures pass; appends the y of each lone one
-    to ``lows``. Walks the closure down rank by rank, filling ``sig`` (see
-    the module docstring), which it leaves zero."""
-    covers = down[z]
+def _below(covers, down, up, sig: list[int], lows: list[int]) -> int:
+    """The kind the intervals (y, z) with d >= 2 give the closure of z,
+    given z's ``covers``: z is a face of rank >= 2 whose covers' closures
+    pass, or the top sentinel of a graded poset of rank >= 1. Appends the
+    y of each lone one to ``lows``. Walks the closure down rank by rank,
+    filling ``sig`` (see the module docstring), which it leaves zero."""
     for i, c in enumerate(covers):
         sig[c] = 1 << i
     walked = list(covers)
@@ -223,7 +219,7 @@ def _closures(ranks, down, up) -> tuple[list[int], list[int]]:
                 m = len(down[z])
                 kind = NEITHER if m > 2 else PCM if m == 1 else kind
             elif r >= 2:
-                kind = min(kind, _below(z, down, up, sig, lows))
+                kind = min(kind, _below(down[z], down, up, sig, lows))
             kinds[z] = kind
     return kinds, lows
 
@@ -243,43 +239,35 @@ class Law:
     ``closures[h]`` is the kind of face h's extended closure and ``lows``
     holds the y of each lone interval (y, z), z a face; the kind of
     the whole poset, the openings and the border are found on first use.
-    It keeps the poset's rank and tables, not the poset, which holds it: so
-    a poset is freed as soon as it is dropped.
+    It keeps the poset's rank, face ranks, co-ranks and cover lists, not
+    the poset, which holds it: so a poset is freed as soon as it is
+    dropped.
     """
 
     def __init__(self, poset: Poset):
         self.rank = poset.rank()
         self.face_ranks, self.co_ranks = poset.face_ranks, poset.co_ranks
         self.down, self.up = poset.cover_lists, poset.up_cover_lists
-        self.beta = poset.beta_masks
         self.closures, self.lows = _closures(self.face_ranks, self.down, self.up)
 
     @cached_property
     def whole(self) -> tuple[int, list[int]]:
-        """The kind of the whole poset, by its closures, then its openings
-        (y, n) and (-1, n); and the y of each lone (y, n) met."""
-        fr, up, beta, top = self.face_ranks, self.up, self.beta, self.rank
+        """The kind of the whole poset, by its closures, the ranks of its
+        maximal faces, then its openings (y, n) and (-1, n), all decided
+        by one walk down from the top sentinel n; and the y of each lone
+        (y, n)."""
+        fr, up, top = self.face_ranks, self.up, self.rank
         n = len(fr)
         kind = min(self.closures, default=SURFACE)
-        if kind == NEITHER:
+        maximal = [h for h, u in enumerate(up) if not u]
+        if kind == NEITHER or any(fr[h] != top for h in maximal):
             return NEITHER, []
-        lone = []
-        for y in range(n):
-            d = top + 1 - fr[y]
-            if d == 2:
-                m = len(up[y])
-                if m > 2:
-                    return NEITHER, []
-                if m == 1:
-                    kind = PCM
-                    lone.append(y)
-            elif d >= 3 and len(up[y]) > 1 and not _joined([beta[c] for c in up[y]]):
-                return NEITHER, []
+        lone: list[int] = []
         if top == 0:
             # (-1, n) has d = 2: the faces
             kind = NEITHER if n > 2 else PCM if n == 1 else SURFACE
-        elif top >= 1 and not _cover_graph_connected(self.down, up):
-            kind = NEITHER
+        elif top >= 1:
+            kind = min(kind, _below(maximal, self.down, up, [0] * n, lone))
         return kind, lone
 
     @property
@@ -324,18 +312,6 @@ class Law:
             not (a == SURFACE == b and fr[h] + cr[h] == self.rank)
             for h, (a, b) in enumerate(zip(self.closures, self.openings))
         )
-
-
-def _cover_graph_connected(down, up) -> bool:
-    seen = [False] * len(down)
-    seen[0] = True
-    reached = [0]
-    for h in reached:
-        for g in down[h] + up[h]:
-            if not seen[g]:
-                seen[g] = True
-                reached.append(g)
-    return len(reached) == len(down)
 
 
 def as_poset(view: SuborderView) -> Poset:

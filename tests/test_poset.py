@@ -20,6 +20,7 @@ from posurf import (
     is_k_surface,
     is_separated_union,
     join,
+    khalimsky_block,
     local_sets,
     rank,
     restrict,
@@ -115,6 +116,11 @@ def test_listed_covers_below_another_listed_cover_are_dropped():
     # rank but are incomparable
     p = Poset([[], [], [0], [1], [0, 1, 2, 3], [1, 2]])
     assert p.cover_lists == ((), (), (0,), (1,), (2, 3), (1, 2))
+    # the un-reduced chain: each face h > 1 lists h - 1 and 0
+    p = Poset([[], [0]] + [[h - 1, 0] for h in range(2, 40)])
+    chain = chain_poset(40)
+    assert (p.cover_lists, p.up_cover_lists) == (chain.cover_lists, chain.up_cover_lists)
+    assert (p.face_ranks, p.co_ranks) == (chain.face_ranks, chain.co_ranks)
 
 
 def test_from_hasse_refuses_at_the_first_record_above_the_limit(monkeypatch):
@@ -346,10 +352,28 @@ def test_components_of_random_hasse_dags_and_views():
             assert_components_match_oracle(covers, [h for h in range(n) if rng.random() < keep])
 
 
-def test_recognizers_leave_the_theta_table_unbuilt():
-    p = sphere(2).face_poset()
+def test_recognizers_leave_the_strict_order_tables_unbuilt():
+    q = solid_simplex(3).face_poset()
+    # each face also lists the faces two ranks below it, which the
+    # constructor drops
+    unreduced = [list(cs) + [b for c in cs for b in q.cover_lists[c]] for cs in q.cover_lists]
+    face = sphere(2).face_poset()
+    hasse = from_hasse(to_hasse(khalimsky_block(3, 3)))
+    cases = [(face.cover_lists, face), (hasse.cover_lists, hasse), (unreduced, Poset(unreduced))]
+    assert cases[2][1].cover_lists == q.cover_lists
+    for covers, p in cases:
+        classify_recursive(p)
+        classify_recursive(SuborderView(p, p.full_mask >> 1))
+        is_coherent(p)
+        join(p, p)
+        assert not {"alpha_masks", "beta_masks", "theta_masks"} & p.__dict__.keys()
+        below = oracles.strict_below(covers)
+        above = [{g for g, b in enumerate(below) if h in b} for h in range(len(p))]
+        assert [set(iter_bits(m)) for m in p.alpha_masks] == below
+        assert [set(iter_bits(m)) for m in p.beta_masks] == above
+    # the operator algebra reads the closure and opening tables, not theta's
+    p = face
     view = SuborderView(p, p.full_mask ^ 1)
-    classify_recursive(p)
     border(view)
     local_sets(p, 0, "theta")
     local_sets(view, [1, 2], "theta", strict=False)
