@@ -32,7 +32,7 @@ from .poset import as_view
 # The recognizers are called through these module globals, which the
 # benchmark's tracer (perfbench/tracing.py) patches by name.
 from .simplicial import SimplicialComplex, check_condition_C, write_facets
-from .surfaces import as_poset, border_mask_of, is_k_surface, is_pcm, is_smooth_pcm
+from .surfaces import border_mask_of, is_k_surface, is_pcm, is_smooth_pcm
 
 __all__ = [
     "Classification",
@@ -103,14 +103,14 @@ def classify_recursive(obj) -> Classification:
     Poset/SuborderView (poset-level recognizers only).
     """
     complex_ = obj if isinstance(obj, SimplicialComplex) else None
-    view = as_view(complex_.face_poset() if complex_ is not None else obj)
+    # a proper view is built as a poset once, for all four recognizers
+    p = as_view(complex_.face_poset() if complex_ is not None else obj).to_poset()
     timings: dict[str, float] = {}
-    sv = _timed(timings, "surface", lambda: is_k_surface(view))
-    pv = _timed(timings, "pcm", lambda: is_pcm(view))
-    mv = _timed(timings, "smooth_pcm", lambda: is_smooth_pcm(view))
-    # the view as the poset the recognizers built: its rank needs no table
-    r = as_poset(view).rank()
-    border_empty = r < 0 or _timed(timings, "border", lambda: border_mask_of(view) == 0)
+    sv = _timed(timings, "surface", lambda: is_k_surface(p))
+    pv = _timed(timings, "pcm", lambda: is_pcm(p))
+    mv = _timed(timings, "smooth_pcm", lambda: is_smooth_pcm(p))
+    r = p.rank()
+    border_empty = r < 0 or _timed(timings, "border", lambda: border_mask_of(p) == 0)
     cls = Classification(
         rank=r,
         is_surface=sv.holds,

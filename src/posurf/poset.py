@@ -16,7 +16,8 @@ also for the components ``border`` lists) and separated unions.
 
 A suborder is a :class:`SuborderView`: the ambient poset plus a member
 bitmask. The recognizers run one pass over a whole poset, and build any
-other view as its own poset first (``SuborderView.to_poset``).
+other view as its own poset first (``SuborderView.to_poset``, with no
+cache); ``in_ambient`` maps a mask over that poset back to the ambient.
 
 Posets are immutable after construction and safe to share across threads
 for reading; lazily filled caches only move from "absent" to the one
@@ -300,17 +301,20 @@ class SuborderView:
         return view_rank(self.ambient, self.mask)
 
     def to_poset(self) -> Poset:
-        """Materialize the view as a standalone poset.
+        """Materialize the view as a standalone poset: the full view is its
+        ambient, and any other view is built anew on each call.
 
-        New ids follow ascending ambient ids (``members[i]`` becomes ``i``);
-        labels are carried over. Covering is recomputed for the induced
-        order, which in general differs from the ambient covering. A walk
-        down the ambient covers of a member through non-members meets each
-        member it covers in the view, as no member lies between them; the
-        members met below a non-member are found once, as a mask over the
-        view's ids. A member met past a non-member may lie below another one
-        met; ``Poset`` drops such a cover.
+        New ids follow ascending ambient ids (``members[i]`` becomes ``i``,
+        see ``in_ambient``); labels are carried over. Covering is recomputed
+        for the induced order, which in general differs from the ambient
+        covering. A walk down the ambient covers of a member through
+        non-members meets each member it covers in the view, as no member
+        lies between them; the members met below a non-member are found
+        once, as a mask over the view's ids. A member met past a non-member
+        may lie below another one met; ``Poset`` drops such a cover.
         """
+        if self.mask == self.ambient.full_mask:
+            return self.ambient
         members = self.members
         pos = {h: i for i, h in enumerate(members)}
         down = self.ambient.cover_lists
@@ -343,6 +347,17 @@ class SuborderView:
             covers.append(list(iter_bits(mask)))
         labels = [self.ambient._labels[h] for h in members]
         return Poset(covers, labels)
+
+
+def in_ambient(view: SuborderView, mask: int) -> int:
+    """A mask over the faces of ``view.to_poset()`` as a mask over the view's ambient."""
+    if view.mask == view.ambient.full_mask:
+        return mask
+    ids = view.members
+    out = 0
+    for h in iter_bits(mask):
+        out |= 1 << ids[h]
+    return out
 
 
 def as_view(obj: "Poset | SuborderView") -> SuborderView:
@@ -430,8 +445,7 @@ def is_coherent(obj: "Poset | SuborderView") -> bool:
     cover inside V raises the face rank by one and each maximal face has
     rank n; both are read off the view as a standalone poset (``to_poset``).
     """
-    view = as_view(obj)
-    p = view.ambient if view.mask == view.ambient.full_mask else view.to_poset()
+    p = as_view(obj).to_poset()
     ranks = p.face_ranks
     return all(
         (r == p.rank() or p.up_cover_lists[h]) and all(ranks[c] == r - 1 for c in p.cover_lists[h])
@@ -450,6 +464,8 @@ def component_masks(poset: Poset, mask: int) -> Iterator[int]:
     neighborhood of each face after that is most of the search; a test
     after every face would cost the small views of a sparse poset more.
     """
+    if not mask:
+        return
     alpha = poset.alpha_masks
     beta = poset.beta_masks
     rest = mask

@@ -106,7 +106,8 @@ lone (y, z) has z <= x or x <= y, with no second pass.
 
 Each recognizer refuses a poset of rank above ``MAX_RANK`` with a
 DomainError (``law_of``); a view that is not a whole poset is first built
-as one (``to_poset``, cached per view mask).
+as one (``to_poset``), anew on each call: a caller that runs several
+recognizers on one view builds it once and passes the poset.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
-from .poset import Poset, SuborderView, as_view, component_masks, iter_bits
+from .poset import Poset, SuborderView, as_view, component_masks, in_ambient, iter_bits
 
 __all__ = [
     "Verdict",
@@ -314,22 +315,10 @@ class Law:
         )
 
 
-def as_poset(view: SuborderView) -> Poset:
-    """The view as a whole poset: its ambient, or else its ``to_poset()``,
-    built once per view mask."""
-    if view.mask == view.ambient.full_mask:
-        return view.ambient
-    built = view.ambient.memo("to_poset")
-    got = built.get(view.mask)
-    if got is None:
-        got = built[view.mask] = view.to_poset()
-    return got
-
-
 def law_of(obj: "Poset | SuborderView") -> tuple[Poset, Law]:
-    """``obj`` as a whole poset (``as_poset``) and its ``Law``, once its rank
-    is found to be within ``MAX_RANK``."""
-    poset = as_poset(as_view(obj))
+    """``obj`` as a whole poset (``to_poset``) and its ``Law``, once its
+    rank is found to be within ``MAX_RANK``."""
+    poset = as_view(obj).to_poset()
     r = poset.rank()
     if r > MAX_RANK:
         raise DomainError(f"a poset of rank {r} is above the rank limit of {MAX_RANK}")
@@ -371,21 +360,10 @@ class BorderDecomposition:
         return not self.border_faces
 
 
-def _in_ambient(view: SuborderView, mask: int) -> int:
-    """A mask over the faces of ``as_poset(view)`` as a mask over the view's ambient."""
-    if view.mask == view.ambient.full_mask:
-        return mask
-    ids = view.members
-    out = 0
-    for h in iter_bits(mask):
-        out |= 1 << ids[h]
-    return out
-
-
 def border_mask_of(obj: "Poset | SuborderView") -> int:
     """Bitmask of the border faces of a poset or view of rank >= 0."""
     view = as_view(obj)
-    return _in_ambient(view, law_of(view)[1].border)
+    return in_ambient(view, law_of(view)[1].border)
 
 
 def border(obj: "Poset | SuborderView") -> BorderDecomposition:
@@ -397,7 +375,7 @@ def border(obj: "Poset | SuborderView") -> BorderDecomposition:
     bmask = law.border
 
     def faces(mask: int) -> frozenset[int]:
-        return frozenset(iter_bits(_in_ambient(view, mask)))
+        return frozenset(iter_bits(in_ambient(view, mask)))
 
     return BorderDecomposition(
         border_faces=faces(bmask),
@@ -422,10 +400,12 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
     neighborhoods; the empty order and a singleton are smooth. Condition
     (C) asks each h in B for an (n-2)-surface theta_B(h) = theta(h) & B.
     The law decided here holds on every poset: a view is a smooth n-PCM
-    iff it is an n-PCM satisfying (C). B is built as its own poset, in
-    which theta_B(h) is the join of the closure and the opening of h: an
-    (n-2)-surface iff both are surfaces, which the pass and its dual
-    decide, with fr_B[h] + cr_B[h] = n - 1 (see the module docstring). Smooth
+    iff it is an n-PCM satisfying (C). B is built as its own poset, and
+    (C) is B's own empty border at rank n - 1: ``Law.border``'s general
+    rule on B puts h on B's border iff theta_B(h), the join of h's closure
+    and opening in B, is not a (rank B - 1)-surface (see the module
+    docstring). On a B that is itself a PCM of rank >= 1, the lone walk
+    finds a nonempty border, which fails (C) as it should. Smooth
     implies (C) (see ``check_condition_C``). The converse follows from
     the join law for discrete surfaces. Write theta_W(x) for the strict
     neighborhood of x in a view W, B_W for W's border, and recall that a
@@ -463,10 +443,6 @@ def is_smooth_pcm(obj: "Poset | SuborderView") -> Verdict:
     n = law.pcm_rank()
     if n is not None and n >= 1:
         _, b = law_of(SuborderView(p, law.border))
-        # the closures first: the openings take a second pass
-        ranks = zip(b.closures, b.face_ranks, b.co_ranks)
-        if not all(a == SURFACE and f + c == n - 1 for a, f, c in ranks):
-            n = None
-        elif not all(o == SURFACE for o in b.openings):
+        if b.rank != n - 1 or b.border:
             n = None
     return Verdict(n)

@@ -35,6 +35,7 @@ from posurf.poset import (
     as_view,
     component_masks,
     content_lines,
+    in_ambient,
     iter_bits,
     view_rank,
 )
@@ -276,8 +277,12 @@ def test_view_covers_match_the_strict_order_on_random_views():
             for closure in closures
         ]
         p = view.to_poset()
+        # the full view is its ambient; any other is built anew
+        assert (p is view.ambient) == (view.mask == view.ambient.full_mask)
         assert [list(cs) for cs in p.cover_lists] == expect, (covers, members)
         assert p.labels == tuple(f"f{h}" for h in members)
+        sub = rng.randrange(1 << len(members))
+        assert in_ambient(view, sub) == sum(1 << members[i] for i in iter_bits(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +388,10 @@ def test_recognizers_leave_the_strict_order_tables_unbuilt():
     assert "theta_masks" not in p.__dict__
     assert p.theta_masks == tuple(a | b for a, b in zip(p.alpha_masks, p.beta_masks))
     assert "theta_masks" in p.__dict__
+    # a surface's border has no component to search
+    p = sphere(3).face_poset()
+    assert border(p).is_empty
+    assert not {"alpha_masks", "beta_masks"} & p.__dict__.keys()
 
 
 # ---------------------------------------------------------------------------

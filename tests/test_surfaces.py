@@ -161,19 +161,27 @@ def test_warm_and_fresh_memos_agree_on_surfaces(posets, complexes):
 
 def test_every_recognizer_fills_its_memos():
     # every recognizer reads one pass of the law, cached on the poset, and
-    # stores no interval; a PCM's border is built as its own poset once, for
-    # condition (C), and cached under its mask
+    # stores no interval; a PCM's border is built as its own poset for
+    # condition (C), and not cached on the ambient
     for p, category in ((sphere(2).face_poset(), "surface"), (disk(4).face_poset(), "pcm")):
         for recognizer in (is_k_surface, border, is_pcm, is_smooth_pcm):
             recognizer(p)
         assert classify_recursive(p).category == category
         assert p.memo("law") is law_of(p)[1]
-        assert set(p._memo) == ({"law"} if category == "surface" else {"law", "to_poset"})
+        assert set(p._memo) == {"law"}
     # a chain is all border, so (C) runs on the chain itself
     chain = chain_poset(6)
     assert not is_smooth_pcm(chain).holds and set(chain._memo) == {"law"}
     law = chain.memo("law")
     assert law.closures == [SURFACE] + [PCM] * 5 and law.openings == [PCM] * 5 + [SURFACE]
+    # each proper view is built as its own poset per call, and dropped with
+    # it: the ambient keeps no "to_poset" memo, and no law, as it is never
+    # classified itself
+    p = sphere(3).face_poset()
+    for h in range(len(p)):
+        view = theta_view(p, h)
+        assert is_k_surface(view).rank == 2 and not is_smooth_pcm(view).holds
+    assert not p._memo
 
 
 def test_recursive_classification_stores_no_interval():
@@ -188,7 +196,7 @@ def test_recursive_classification_stores_no_interval():
     finally:
         tracemalloc.stop()
     assert c.category == "pcm" and c.is_smooth_pcm
-    assert set(p._memo) == {"law", "to_poset"}
+    assert set(p._memo) == {"law"}
     assert peak < 1_000_000
 
 
