@@ -11,8 +11,10 @@ covering relation only on first read, as per-face bitmask tables:
 
 They grow quadratically in the face count, and only the operator algebra
 reads them: ``local_sets``, ``theta_view``, the ranks of views that are
-not a whole poset (``view_levels``), components (``component_masks``,
-also for the components ``border`` lists) and separated unions.
+not a whole poset and of their faces (``view_levels``), components
+(``component_masks``) and separated unions. ``border`` splits the border
+into components on the border built as its own poset, so it builds the
+tables of the border alone.
 
 A suborder is a :class:`SuborderView`: the ambient poset plus a member
 bitmask. The recognizers run one pass over a whole poset, and build any
@@ -540,6 +542,8 @@ def rank(obj: "Poset | SuborderView", h: int | None = None) -> int:
         return view_rank(view.ambient, view.mask)
     if h not in view:
         raise DomainError(f"face {h} is not a member of the view")
+    if view.mask == view.ambient.full_mask:
+        return view.ambient.face_ranks[h]
     return next(r for r, level in enumerate(view_levels(view.ambient, view.mask)) if level >> h & 1)
 
 

@@ -88,11 +88,11 @@ closure from its covers' closures and the intervals (y, z) below z, with
 no recursion and no memo. A face with a cover whose closure fails fails,
 as its closure holds that closure's intervals, and is skipped: on a
 poset whose faces of rank 1 have more than two covers the pass ends at
-rank 1. The pass tests the grading at each face's covers; ``Law`` then
-tests the rest of it, that each maximal face has rank R, and decides the
-openings (y, n) and the whole poset (-1, n) by one more walk, down from
-the top sentinel n: the d = 2 counts, the lone intervals (y, n) and the
-overlaps of the d >= 3 openings and of the minimal faces' masks.
+rank 1. The pass tests the grading at the covers of each z. ``Law`` runs
+it on P extended by the top sentinel n, last, of rank R + 1 and covering
+the maximal faces: the grading test at n asks each maximal face for rank
+R, and the closure of n is the whole poset (-1, n), decided with its
+intervals (y, n), the openings, as any other closure.
 
 The border. A face x of a rank-R poset is on the border iff theta(x) =
 (-1, x) * (x, n) is not an (R-1)-surface: by the surface join law, iff
@@ -155,10 +155,10 @@ def _joined(parts: list[int]) -> bool:
 
 def _below(covers, down, up, sig: list[int], lows: list[int]) -> int:
     """The kind the intervals (y, z) with d >= 2 give the closure of z,
-    given z's ``covers``: z is a face of rank >= 2 whose covers' closures
-    pass, or the top sentinel of a graded poset of rank >= 1. Appends the
-    y of each lone one to ``lows``. Walks the closure down rank by rank,
-    filling ``sig`` (see the module docstring), which it leaves zero."""
+    given z's ``covers``: z, a face or the top sentinel, has rank >= 2 and
+    its covers' closures pass. Appends the y of each lone one to ``lows``.
+    Walks the closure down rank by rank, filling ``sig`` (see the module
+    docstring), which it leaves zero."""
     for i, c in enumerate(covers):
         sig[c] = 1 << i
     walked = list(covers)
@@ -201,8 +201,10 @@ def _below(covers, down, up, sig: list[int], lows: list[int]) -> int:
 def _closures(ranks, down, up) -> tuple[list[int], list[int]]:
     """The kind of each face's closure, by one bottom-up pass of the law over
     face ranks, cover lists and up-cover lists, and the faces y of the lone
-    intervals (y, z) met, z a face. Run on co-ranks, up-covers and covers, it
-    gives each face's opening instead."""
+    intervals (y, z) met. Run on co-ranks, up-covers and covers, it gives
+    each face's opening instead. ``up`` is read only at faces below a z of
+    rank 2 or more, so a top sentinel may be appended to the ranks and
+    covers alone."""
     kinds = [NEITHER] * len(ranks)
     lows: list[int] = []
     sig = [0] * len(ranks)
@@ -237,9 +239,10 @@ def _mask(flags) -> int:
 class Law:
     """One pass of the law over a whole poset, built once per poset (``law_of``).
 
-    ``closures[h]`` is the kind of face h's extended closure and ``lows``
-    holds the y of each lone interval (y, z), z a face; the kind of
-    the whole poset, the openings and the border are found on first use.
+    ``closures[h]`` is the kind of face h's extended closure, ``kind`` that
+    of the whole poset, the closure of the top sentinel n, and ``lows``
+    holds the y of each lone interval (y, z), z a face or n, all by one
+    pass; the openings and the border are found on first use.
     It keeps the poset's rank, face ranks, co-ranks and cover lists, not
     the poset, which holds it: so a poset is freed as soon as it is
     dropped.
@@ -249,31 +252,12 @@ class Law:
         self.rank = poset.rank()
         self.face_ranks, self.co_ranks = poset.face_ranks, poset.co_ranks
         self.down, self.up = poset.cover_lists, poset.up_cover_lists
-        self.closures, self.lows = _closures(self.face_ranks, self.down, self.up)
-
-    @cached_property
-    def whole(self) -> tuple[int, list[int]]:
-        """The kind of the whole poset, by its closures, the ranks of its
-        maximal faces, then its openings (y, n) and (-1, n), all decided
-        by one walk down from the top sentinel n; and the y of each lone
-        (y, n)."""
-        fr, up, top = self.face_ranks, self.up, self.rank
-        n = len(fr)
-        kind = min(self.closures, default=SURFACE)
-        maximal = [h for h, u in enumerate(up) if not u]
-        if kind == NEITHER or any(fr[h] != top for h in maximal):
-            return NEITHER, []
-        lone: list[int] = []
-        if top == 0:
-            # (-1, n) has d = 2: the faces
-            kind = NEITHER if n > 2 else PCM if n == 1 else SURFACE
-        elif top >= 1:
-            kind = min(kind, _below(maximal, self.down, up, [0] * n, lone))
-        return kind, lone
-
-    @property
-    def kind(self) -> int:
-        return self.whole[0]
+        # the top sentinel n, of rank R + 1, covers the maximal faces
+        maximal = tuple(h for h, u in enumerate(self.up) if not u)
+        self.closures, self.lows = _closures(
+            self.face_ranks + (self.rank + 1,), self.down + (maximal,), self.up
+        )
+        self.kind = self.closures.pop()
 
     @cached_property
     def openings(self) -> list[int]:
@@ -292,15 +276,14 @@ class Law:
         other poset of rank >= 0 by the closures and openings."""
         if self.rank < 0:
             raise DomainError("the border is undefined on the empty order")
-        kind, lone = self.whole
-        if kind == SURFACE:
+        if self.kind == SURFACE:
             return 0
-        if kind == PCM:
+        if self.kind == PCM:
             # above the z of a lone (y, z), a PCM closure, or below its y,
             # z a face or the top sentinel
             mask = _mask(k == PCM for k in self.closures)
             walked = [False] * len(self.closures)
-            todo = self.lows + lone
+            todo = list(self.lows)
             while todo:
                 y = todo.pop()
                 if not walked[y]:
@@ -369,19 +352,22 @@ def border_mask_of(obj: "Poset | SuborderView") -> int:
 def border(obj: "Poset | SuborderView") -> BorderDecomposition:
     """Border decomposition of a poset or suborder view (rank >= 0): the
     border faces, partitioned into theta-connected components, each with
-    its surface verdict."""
+    its surface verdict. The border is built once as its own poset B, and
+    its components are split and judged on B."""
     view = as_view(obj)
     p, law = law_of(view)
-    bmask = law.border
+    bview = SuborderView(p, law.border)
+    b = bview.to_poset()
 
     def faces(mask: int) -> frozenset[int]:
         return frozenset(iter_bits(in_ambient(view, mask)))
 
     return BorderDecomposition(
-        border_faces=faces(bmask),
-        interior_faces=faces(p.full_mask & ~bmask),
+        border_faces=faces(bview.mask),
+        interior_faces=faces(p.full_mask & ~bview.mask),
         components=tuple(
-            (faces(cm), is_k_surface(SuborderView(p, cm))) for cm in component_masks(p, bmask)
+            (faces(in_ambient(bview, cm)), is_k_surface(SuborderView(b, cm)))
+            for cm in component_masks(b, b.full_mask)
         ),
     )
 

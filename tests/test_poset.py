@@ -12,6 +12,7 @@ from posurf import (
     DomainError,
     ParseError,
     Poset,
+    annulus,
     border,
     classify_recursive,
     connected_components,
@@ -391,6 +392,14 @@ def test_recognizers_leave_the_strict_order_tables_unbuilt():
     # a surface's border has no component to search
     p = sphere(3).face_poset()
     assert border(p).is_empty
+    assert not {"alpha_masks", "beta_masks"} & p.__dict__.keys()
+    # a border of two components is split on the border alone, and a face's
+    # rank in a whole poset is its face rank
+    p = annulus(6).face_poset()
+    d = border(p)
+    assert [len(faces) for faces, _ in d.components] == [12, 12]
+    assert all(verdict.rank == 1 for _, verdict in d.components)
+    assert all(rank(p, h) == p.face_ranks[h] for h in range(len(p)))
     assert not {"alpha_masks", "beta_masks"} & p.__dict__.keys()
 
 
